@@ -6,9 +6,11 @@ except ``law.<i>.<j>`` rules, which accumulate in order (``*`` selects a
 whole row or column; ``profile = <law>`` is shorthand for ``law.*.* =
 <law>`` applied first).  Law specs: ``rademacher``, ``gaussian``,
 ``uniform``, ``sparse-bernoulli(p)``, ``discrete(a1:w1,a2:w2,...)``.
-Unknown keys are rejected with their line number.  Every campaign needs
-``kind`` and ``seed``; list-valued keys (``k``, ``epsilon``, ``t``, ``n``
-for norm sweeps) take comma-separated ascending values.
+Unknown keys are rejected with their line number.  The ``id`` names output
+files, so it may use only ``[A-Za-z0-9._-]`` and may not contain ``..``.
+Every campaign needs ``kind`` and ``seed``; list-valued keys (``k``,
+``epsilon``, ``t``, ``n`` for norm sweeps) take comma-separated ascending
+values.
 
 Each run writes into the output directory:
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -48,11 +51,14 @@ from .selection import ri_select
 
 RESULTS_HEADER = "experiment_id,n,k,epsilon,estimate,stderr,trials,master_seed"
 
+# Ids name output files and fill the first results.csv field.
+_ID_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
+
 _KINDS = ("sample", "rank-tail", "singular-tail", "rlcd", "round",
           "ri-select", "tensorize", "norms")
 
 _SIMPLE_KEYS = {
-    "kind", "id", "seed", "threads", "k_cap", "profile", "n", "rows", "cols",
+    "kind", "id", "seed", "k_cap", "profile", "n", "rows", "cols",
     "k", "epsilon", "gamma", "trials", "tol", "method", "L", "alpha",
     "radius_cap", "resolution", "mc_trials", "basis", "columns", "directions",
     "l", "delta", "rho", "tau", "r", "c_op", "c_hs", "comparison_c", "t",
@@ -118,7 +124,12 @@ def parse_campaign(text: str) -> CampaignFile:
         raise CampaignError(f"line {seed_line}: seed must be an integer, got {seed_raw!r}")
     if not 0 <= seed < 2 ** 64:
         raise CampaignError(f"line {seed_line}: seed must fit in 64 bits")
-    experiment_id = values["id"][0] if "id" in values else kind
+    experiment_id = kind
+    if "id" in values:
+        experiment_id, id_line = values["id"]
+        if not _ID_PATTERN.fullmatch(experiment_id) or ".." in experiment_id:
+            raise CampaignError(f"line {id_line}: id must use only [A-Za-z0-9._-] "
+                                f"and no '..', got {experiment_id!r}")
     return CampaignFile(kind, experiment_id, seed, values, law_rules)
 
 
@@ -129,7 +140,7 @@ def normalize_campaign(campaign: CampaignFile, seed: int) -> str:
              f"id = {campaign.experiment_id}",
              f"seed = {seed}"]
     for key in sorted(campaign.values):
-        if key in ("kind", "id", "seed", "threads"):
+        if key in ("kind", "id", "seed"):
             continue
         lines.append(f"{key} = {campaign.values[key][0]}")
     for _, key, value in campaign.law_rules:

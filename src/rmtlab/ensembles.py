@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import EstimationError
 __all__ = [
     "DistributionLaw",
     "EntryProfile",
+    "SamplingPlan",
     "atom_moments",
     "rademacher",
     "gaussian",
@@ -294,8 +295,35 @@ class EntryProfile:
 
     @property
     def is_homogeneous(self) -> bool:
-        first = self.laws[0][0]
-        return all(law == first for row in self.laws for law in row)
+        return self.sampling_plan.homogeneous
+
+    @cached_property
+    def sampling_plan(self) -> "SamplingPlan":
+        """Cells grouped by equal law, built on first use and kept on the profile."""
+        flat = [law for row in self.laws for law in row]
+        # Grids repeat a few law objects, so compare laws once per distinct object.
+        ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        groups: dict[DistributionLaw, int] = {}
+        code = np.empty(first.size, dtype=np.intp)
+        for obj in np.argsort(first):
+            code[obj] = groups.setdefault(flat[first[obj]], len(groups))
+        cell_code = code[inverse]
+        return SamplingPlan(len(groups) == 1,
+                            tuple((law, np.flatnonzero(cell_code == g))
+                                  for law, g in groups.items()))
+
+
+@dataclass(frozen=True, eq=False)
+class SamplingPlan:
+    """How :func:`sample_matrix` draws a profile: one vectorized call per distinct law.
+
+    ``groups`` pairs each distinct law, in order of first appearance, with the
+    flat row-major indices of its cells.
+    """
+
+    homogeneous: bool
+    groups: tuple[tuple[DistributionLaw, np.ndarray], ...]
 
 
 def parse_profile_rules(lines) -> list[tuple[object, object, DistributionLaw]]:
@@ -349,24 +377,25 @@ def sample_symmetrized(law, stream: np.random.Generator) -> float:
     return float(law.sample(stream) - law.sample(stream))
 
 
-def sample_matrix(profile: EntryProfile, stream: np.random.Generator) -> np.ndarray:
-    """Sample an (n_rows x n_cols) matrix with independent entries per the profile.
+def sample_matrix(profile: EntryProfile, stream: np.random.Generator,
+                  count: int | None = None) -> np.ndarray:
+    """Sample matrices with independent entries per the profile.
 
-    Cells sharing a law are drawn in one vectorized call (row-major placement),
-    so homogeneous profiles cost a single generator call.
+    With ``count`` None, returns one (n_rows x n_cols) matrix; with an integer
+    ``count``, a (count, n_rows, n_cols) stack.  Cells sharing a law are drawn
+    in one vectorized call of shape (count, cells), in row-major cell order, so
+    homogeneous profiles cost a single generator call and
+    ``sample_matrix(p, s, 1)[0]`` equals ``sample_matrix(p, s)`` bit for bit.
     """
-    if profile.is_homogeneous:
-        return np.asarray(profile.laws[0][0].sample(stream, (profile.n_rows, profile.n_cols)),
-                          dtype=float)
-    out = np.empty((profile.n_rows, profile.n_cols))
-    groups: dict[DistributionLaw, list[tuple[int, int]]] = {}
-    for i, row in enumerate(profile.laws):
-        for j, law in enumerate(row):
-            groups.setdefault(law, []).append((i, j))
-    for law, cells in groups.items():
-        draws = law.sample(stream, len(cells))
-        for (i, j), v in zip(cells, draws):
-            out[i, j] = v
+    plan = profile.sampling_plan
+    lead = () if count is None else (count,)
+    shape = lead + (profile.n_rows, profile.n_cols)
+    if plan.homogeneous:
+        return np.asarray(plan.groups[0][0].sample(stream, shape), dtype=float)
+    out = np.empty(shape)
+    flat = out.reshape(lead + (-1,))
+    for law, cells in plan.groups:
+        flat[..., cells] = law.sample(stream, lead + (cells.size,))
     return out
 
 

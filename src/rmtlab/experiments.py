@@ -1,7 +1,11 @@
 """Monte Carlo campaigns and exact oracles for rank and singular-value tails.
 
 The heart of the module is a trial table: one row per sampled matrix with
-its spectrum summary, rank at tolerance, and the seed that regenerates it.
+its spectrum summary and rank at tolerance.  Trials run in blocks of
+``TRIAL_BLOCK``; block b draws all of its matrices in one vectorized call
+from a stream spawned off the master seed with spawn key (b,), so a table
+depends only on the config, never on the thread count, and
+:func:`trial_matrix` replays any single trial by regenerating its block.
 All tail estimates are computed from trial tables, so different thresholds
 (k values, epsilon values) share the same samples and the nesting of the
 underlying events holds exactly in the estimates, not just in expectation.
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,11 +32,11 @@ from .sphere import almost_orthogonal_check, dist_to_sparse, sampled_span_incomp
 
 __all__ = [
     "ExperimentConfig",
-    "TrialRecord",
+    "TRIAL_BLOCK",
     "TRIAL_DTYPE",
     "KernelEventParams",
     "run_trials",
-    "trial_record",
+    "trial_matrix",
     "rank_tail_from_table",
     "singular_tail_from_table",
     "rank_tail_exact_rademacher",
@@ -48,15 +51,16 @@ __all__ = [
     "scaling_fit",
 ]
 
+#: Trials per block: the unit of random stream, vectorized draw and batched SVD.
+TRIAL_BLOCK = 256
+
 TRIAL_DTYPE = np.dtype([
     ("trial_index", np.int64),
-    ("derived_seed", np.uint64),
     ("s_largest", np.float64),
     ("s_kth_smallest", np.float64),
     ("s_smallest", np.float64),
     ("rank_at_tol", np.int64),
     ("tol_used", np.float64),
-    ("runtime", np.float64),
 ])
 
 TAIL_DTYPE = np.dtype([
@@ -121,78 +125,53 @@ class ExperimentConfig:
                           stacklevel=2)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One row of a trial table, as a plain object."""
-
-    trial_index: int
-    derived_seed: int
-    s_largest: float
-    s_kth_smallest: float
-    s_smallest: float
-    rank_at_tol: int
-    tol_used: float
-    runtime: float
+def _block_matrices(config: ExperimentConfig, block: int) -> np.ndarray:
+    """All matrices of one block, drawn from the block's own stream."""
+    stream = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.master_seed, spawn_key=(block,)))
+    count = min(TRIAL_BLOCK, config.trials - block * TRIAL_BLOCK)
+    return sample_matrix(config.profile, stream, count)
 
 
-def trial_record(table: np.ndarray, i: int) -> TrialRecord:
-    row = table[i]
-    return TrialRecord(int(row["trial_index"]), int(row["derived_seed"]),
-                       float(row["s_largest"]), float(row["s_kth_smallest"]),
-                       float(row["s_smallest"]), int(row["rank_at_tol"]),
-                       float(row["tol_used"]), float(row["runtime"]))
+def trial_matrix(config: ExperimentConfig, i: int) -> np.ndarray:
+    """The matrix of trial i, replayed by regenerating its block."""
+    if not 0 <= i < config.trials:
+        raise IndexError(f"trial index {i} outside [0, {config.trials})")
+    return _block_matrices(config, i // TRIAL_BLOCK)[i % TRIAL_BLOCK]
 
 
-def derived_seed(master_seed: int, trial_index: int) -> int:
-    """The per-trial seed: a pure function of (master seed, trial index)."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,)))
-
-
-def run_trials(config: ExperimentConfig, n_threads: int = 1,
-               chunk_size: int = 4096) -> np.ndarray:
+def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
     """Sample config.trials matrices and record their spectrum summaries.
 
-    Each trial gets its own generator derived from (master_seed, index), so
-    the table is identical for any thread count or chunk size; threads only
-    partition the index range.  SVDs run batched per chunk.
+    Trials run in blocks of ``TRIAL_BLOCK``.  Block b draws its matrices from
+    a stream spawned off the master seed with spawn key (b,), in one
+    vectorized call, and reduces them with one batched SVD.  Threads map over
+    whole blocks, so the table is identical for any thread count;
+    :func:`trial_matrix` replays a single trial.
     """
     n, k = config.n, config.k
     out = np.empty(config.trials, TRIAL_DTYPE)
 
-    def do_chunk(start: int, stop: int) -> None:
-        t0 = time.perf_counter()
-        count = stop - start
-        mats = np.empty((count, n, n))
-        for i in range(count):
-            mats[i] = sample_matrix(config.profile, _trial_stream(config.master_seed, start + i))
-        svals = np.linalg.svd(mats, compute_uv=False)
-        per_trial = (time.perf_counter() - t0) / count
-        tol = (np.full(count, config.tol) if config.tol is not None
+    def do_block(block: int) -> None:
+        start = block * TRIAL_BLOCK
+        svals = np.linalg.svd(_block_matrices(config, block), compute_uv=False)
+        rows = out[start:start + svals.shape[0]]
+        tol = (np.full(rows.size, config.tol) if config.tol is not None
                else n * np.finfo(float).eps * svals[:, 0])
-        chunk = out[start:stop]
-        chunk["trial_index"] = np.arange(start, stop)
-        chunk["derived_seed"] = [derived_seed(config.master_seed, j) for j in range(start, stop)]
-        chunk["s_largest"] = svals[:, 0]
-        chunk["s_kth_smallest"] = svals[:, n - k] if k >= 1 else np.nan
-        chunk["s_smallest"] = svals[:, -1]
-        chunk["rank_at_tol"] = np.sum(svals > tol[:, None], axis=1)
-        chunk["tol_used"] = tol
-        chunk["runtime"] = per_trial
+        rows["trial_index"] = np.arange(start, start + rows.size)
+        rows["s_largest"] = svals[:, 0]
+        rows["s_kth_smallest"] = svals[:, n - k] if k >= 1 else np.nan
+        rows["s_smallest"] = svals[:, -1]
+        rows["rank_at_tol"] = np.sum(svals > tol[:, None], axis=1)
+        rows["tol_used"] = tol
 
-    spans = [(s, min(s + chunk_size, config.trials))
-             for s in range(0, config.trials, chunk_size)]
+    blocks = range(-(-config.trials // TRIAL_BLOCK))
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(lambda span: do_chunk(*span), spans))
+            list(pool.map(do_block, blocks))
     else:
-        for span in spans:
-            do_chunk(*span)
+        for block in blocks:
+            do_block(block)
     return out
 
 
@@ -323,7 +302,7 @@ def norm_concentration_mc(law: DistributionLaw, n_grid, trials: int,
     rows = np.empty(len(list(n_grid)), NORM_DTYPE)
     for i, n in enumerate(n_grid):
         profile = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
-        mats = np.stack([sample_matrix(profile, stream) for _ in range(trials)])
+        mats = sample_matrix(profile, stream, trials)
         svals = np.linalg.svd(mats, compute_uv=False)
         op_hits = int(np.sum(svals[:, 0] >= c_op * math.sqrt(n)))
         hs = np.sqrt(np.sum(mats * mats, axis=(1, 2)))

@@ -62,6 +62,27 @@ def test_parse_rejects_unknown_key():
         parse_campaign("kind = rank-tail\ntrails = 100\nseed = 1\n")
 
 
+def test_parse_rejects_threads_key():
+    with pytest.raises(CampaignError, match="line 3: unknown key 'threads'"):
+        parse_campaign("kind = rank-tail\nseed = 1\nthreads = 2\n")
+
+
+def test_parse_rejects_id_that_escapes_the_output_directory(tmp_path):
+    text = "kind = sample\nseed = 1\nn = 2\nid = ../escaped,x\nprofile = rademacher\n"
+    with pytest.raises(CampaignError, match="line 4"):
+        parse_campaign(text)
+    for bad in ("..", "a..b", "a/b", "a b", "a,b"):
+        with pytest.raises(CampaignError, match="line 1"):
+            parse_campaign(f"id = {bad}\nkind = sample\nseed = 1\n")
+    assert parse_campaign("id = run-1.A_b\nkind = sample\nseed = 1\n").experiment_id \
+        == "run-1.A_b"
+    out = tmp_path / "out"
+    assert main(["sample", "--config", write_config(tmp_path, "esc.campaign", text),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "escaped,x.matrix.csv").exists()
+
+
 def test_parse_rejects_missing_kind_or_seed():
     with pytest.raises(CampaignError, match="kind"):
         parse_campaign("seed = 1\nn = 2\n")

@@ -303,6 +303,65 @@ def test_sample_matrix_deterministic_under_seed():
     np.testing.assert_array_equal(c, d)
 
 
+def _sample_matrix_per_cell(profile, stream):
+    """Reference: group cells by law in row-major order and place draws one by one."""
+    out = np.empty((profile.n_rows, profile.n_cols))
+    groups = {}
+    for i, row in enumerate(profile.laws):
+        for j, law in enumerate(row):
+            groups.setdefault(law, []).append((i, j))
+    for law, cells in groups.items():
+        for (i, j), v in zip(cells, law.sample(stream, len(cells))):
+            out[i, j] = v
+    return out
+
+
+def _mixed_profile(n_rows=5, n_cols=7):
+    rules = parse_profile_rules(["law.*.* = rademacher", "law.*.2 = gaussian",
+                                 "law.1.* = sparse-bernoulli(0.5)", "law.3.4 = uniform",
+                                 "law.4.* = rademacher"])
+    return profile_from_rules(rules, n_rows, n_cols, k_cap=2.5)
+
+
+def test_sample_matrix_mixed_matches_per_cell_reference():
+    prof = _mixed_profile()
+    assert not prof.is_homogeneous
+    assert [law.kind for law, _ in prof.sampling_plan.groups] == [
+        "rademacher", "gaussian", "sparse-bernoulli", "uniform"]
+    a = sample_matrix(prof, np.random.default_rng(3))
+    np.testing.assert_array_equal(a, _sample_matrix_per_cell(prof, np.random.default_rng(3)))
+
+
+def test_sample_matrix_count_one_equals_single_draw():
+    prof = _mixed_profile()
+    batch = sample_matrix(prof, np.random.default_rng(11), 1)
+    assert batch.shape == (1, 5, 7)
+    np.testing.assert_array_equal(batch[0], sample_matrix(prof, np.random.default_rng(11)))
+
+
+@pytest.mark.parametrize("law", [rademacher(), gaussian(), uniform_scaled(),
+                                 sparse_bernoulli(0.3)], ids=lambda law: law.kind)
+def test_sample_matrix_homogeneous_batch_equals_repeated_draws(law):
+    prof = EntryProfile.homogeneous(3, 4, law, 2.5)
+    stream = np.random.default_rng(5)
+    loop = np.stack([sample_matrix(prof, stream) for _ in range(6)])
+    np.testing.assert_array_equal(sample_matrix(prof, np.random.default_rng(5), 6), loop)
+
+
+def test_sample_matrix_batch_places_each_law_on_its_cells():
+    prof = _mixed_profile()
+    batch = sample_matrix(prof, np.random.default_rng(2), 300)
+    assert batch.shape == (300, 5, 7)
+    for i in range(5):
+        for j in range(7):
+            cell = batch[:, i, j]
+            law = prof.law(i, j)
+            if law.finite_support:
+                assert set(np.unique(cell)) == set(law.atoms)
+            else:
+                assert np.unique(cell).size == 300
+
+
 def test_sample_matrix_hs_norm_scaling(rng):
     prof = EntryProfile.homogeneous(50, 50, gaussian(), 2.0)
     mat = sample_matrix(prof, rng)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from rmtlab.arithmetic import RLCDParams
-from rmtlab.ensembles import EntryProfile, gaussian, rademacher, sample_matrix
+from rmtlab.ensembles import (EntryProfile, gaussian, parse_profile_rules, profile_from_rules,
+                              rademacher, sample_matrix, sparse_bernoulli, uniform_scaled)
 from rmtlab.errors import ResourceLimitError
 from rmtlab.experiments import (
     ExperimentConfig,
     KernelEventParams,
+    TRIAL_BLOCK,
+    TRIAL_DTYPE,
     compressible_event_check,
-    derived_seed,
     kernel_complement_basis,
     kernel_rlcd_probe,
     kernel_tuple_event_check,
@@ -25,7 +27,7 @@ from rmtlab.experiments import (
     singular_tail_from_table,
     singular_tail_mc,
     tensorization_check,
-    trial_record,
+    trial_matrix,
 )
 
 
@@ -83,24 +85,23 @@ def test_config_warns_below_tail_regime():
         ExperimentConfig(prof, 10, 0)  # rank-only degenerate case: no warning
 
 
-def test_derived_seed_is_pure_and_spreads():
-    assert derived_seed(123, 7) == derived_seed(123, 7)
-    seeds = {derived_seed(123, i) for i in range(100)}
-    assert len(seeds) == 100
-    assert derived_seed(123, 0) != derived_seed(124, 0)
-
-
 # --- trial tables ---
 
 
+def _mixed_config(n, k, **kwargs):
+    rules = parse_profile_rules(["law.*.* = rademacher", "law.*.1 = gaussian",
+                                 "law.2.* = sparse-bernoulli(0.5)"])
+    prof = profile_from_rules(rules, n, n, k_cap=2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ExperimentConfig(prof, n, k, **kwargs)
+
+
 def test_run_trials_deterministic_across_partitioning():
-    cfg = _config(6, 3, trials=300, master_seed=5)
+    cfg = _config(6, 3, trials=3 * TRIAL_BLOCK + 17, master_seed=5)
     base = run_trials(cfg)
-    rechunked = run_trials(cfg, chunk_size=37)
-    threaded = run_trials(cfg, n_threads=3, chunk_size=50)
-    for field in ("trial_index", "derived_seed", "s_largest", "s_kth_smallest",
-                  "s_smallest", "rank_at_tol", "tol_used"):
-        np.testing.assert_array_equal(base[field], rechunked[field])
+    threaded = run_trials(cfg, n_threads=3)
+    for field in TRIAL_DTYPE.names:
         np.testing.assert_array_equal(base[field], threaded[field])
 
 
@@ -113,19 +114,20 @@ def test_run_trials_table_contents():
     assert np.all(table["s_smallest"] >= 0.0)
     assert np.all(table["rank_at_tol"] <= 5)
     assert np.all(table["tol_used"] > 0.0)
-    assert np.all(table["runtime"] > 0.0)
-    expected = [derived_seed(9, i) for i in range(64)]
-    np.testing.assert_array_equal(table["derived_seed"], expected)
 
 
-def test_trial_record_round_trip():
-    cfg = _config(4, 2, trials=3, master_seed=1)
+@pytest.mark.parametrize("make_config", [_config, _mixed_config],
+                         ids=["homogeneous", "mixed"])
+def test_trial_matrix_replays_table_rows(make_config):
+    trials = 2 * TRIAL_BLOCK + 40  # first, middle and partial last block
+    cfg = make_config(4, 2, trials=trials, master_seed=21)
     table = run_trials(cfg)
-    rec = trial_record(table, 1)
-    assert rec.trial_index == 1
-    assert rec.derived_seed == derived_seed(1, 1)
-    assert rec.s_largest == table["s_largest"][1]
-    assert rec.rank_at_tol == int(table["rank_at_tol"][1])
+    for i in (0, 3, TRIAL_BLOCK + 100, trials - 1):
+        s = np.linalg.svd(trial_matrix(cfg, i), compute_uv=False)
+        assert s[-1] == table["s_smallest"][i]
+        assert np.sum(s > table["tol_used"][i]) == table["rank_at_tol"][i]
+    with pytest.raises(IndexError):
+        trial_matrix(cfg, trials)
 
 
 def test_run_trials_respects_explicit_tol():
@@ -266,6 +268,29 @@ def test_norm_concentration_single_entry(rng):
     rows = norm_concentration_mc(rademacher(), [1], 200, rng)
     assert rows[0]["op_exceed"] == 0.0  # |entry| = 1 < 3
     assert rows[0]["hs_exceed"] == 0.0  # 1 < 2
+
+
+def _norm_concentration_loop(law, n_grid, trials, stream, c_op=3.0, c_hs=1.0):
+    """Reference: one sample_matrix call per trial."""
+    rows = []
+    for n in n_grid:
+        prof = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
+        mats = np.stack([sample_matrix(prof, stream) for _ in range(trials)])
+        svals = np.linalg.svd(mats, compute_uv=False)
+        op = np.mean(svals[:, 0] >= c_op * math.sqrt(n))
+        hs = np.mean(np.sqrt(np.sum(mats * mats, axis=(1, 2))) >= 2.0 * c_hs * n)
+        rows.append((op, hs))
+    return rows
+
+
+@pytest.mark.parametrize("law", [rademacher(), uniform_scaled(), sparse_bernoulli(0.3)],
+                         ids=lambda law: law.kind)
+def test_norm_concentration_matches_per_trial_loop(law):
+    stream, ref_stream = np.random.default_rng(8), np.random.default_rng(8)
+    rows = norm_concentration_mc(law, [3, 5], 40, stream, c_op=1.5, c_hs=0.5)
+    want = _norm_concentration_loop(law, [3, 5], 40, ref_stream, 1.5, 0.5)
+    assert [(r["op_exceed"], r["hs_exceed"]) for r in rows] == want
+    assert stream.bit_generator.state == ref_stream.bit_generator.state
 
 
 def test_norm_concentration_decays(rng):

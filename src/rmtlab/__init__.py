@@ -9,13 +9,13 @@ invertibility column selection, and reproducible Monte Carlo campaigns with
 exact oracles at toy scale.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import CampaignError, EstimationError, ResourceLimitError
 from .ensembles import (DistributionLaw, EntryProfile, atom_moments, discrete, gaussian,
                         paley_zygmund_floor, parse_law_spec, profile_from_rules,
-                        psi2_estimate, rademacher, sample_entry, sample_matrix,
-                        sample_symmetrized, sparse_bernoulli, uniform_scaled)
+                        psi2_estimate, rademacher, sample_matrix, sample_symmetrized,
+                        sparse_bernoulli, uniform_scaled)
 from .linalg import (SingularSpectrum, complement_projector, default_rank_tol,
                      minmax_kth_smallest, norms, numerical_rank, read_matrix,
                      singular_spectrum, write_matrix)
@@ -23,9 +23,9 @@ from .sphere import (SphereParams, almost_orthogonal_check, classify_vector, dis
                      sampled_span_incompressible, spread_coordinates)
 from .arithmetic import (RLCDEstimate, RLCDParams, count_lattice_points, dist_to_lattice,
                          esseen_bound_eval, expected_sq_dist_to_lattice, levy_estimate,
-                         log_plus, matrix_lattice_distance, rlcd_estimate, schur_product)
-from .rounding import (PropertyCheck, RoundingParams, RoundingReport, default_delta,
-                       in_rounding_net, randomized_round, rounding_report,
+                         log_plus, matrix_lattice_distance, rlcd_estimate)
+from .rounding import (PropertyCheck, RoundingParams, RoundingReport, annulus_check,
+                       default_delta, in_rounding_net, randomized_round, rounding_report,
                        sample_lattice_shell)
 from .selection import SelectionCertificate, projection_deficit, ri_bound_rhs, ri_select
 from .experiments import (ExperimentConfig, KernelEventParams, compressible_event_check,

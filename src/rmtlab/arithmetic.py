@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import DistributionLaw, EntryProfile
+from .ensembles import EntryProfile, LatticePlan
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "RLCDEstimate",
     "dist_to_lattice",
     "log_plus",
-    "schur_product",
     "expected_sq_dist_to_lattice",
     "matrix_lattice_distance",
     "rlcd_estimate",
@@ -45,18 +44,39 @@ def dist_to_lattice(y: np.ndarray) -> float:
     return float(np.linalg.norm(y - np.round(y)))
 
 
-def schur_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coordinate-wise product of two equal-length vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return x * y
-
-
 def _residual_sq(z: np.ndarray) -> np.ndarray:
     r = z - np.round(z)
     return r * r
+
+
+def _sq_dists(ys: np.ndarray, columns, mc_trials: int,
+              stream: np.random.Generator | None) -> np.ndarray:
+    """E dist^2(y * xi_bar, Z^n) for every row y of ys and every column: shape (columns, B).
+
+    ``columns`` holds one tuple of :class:`LawGroup` per column.  Finite laws
+    are summed exactly for the whole batch at once.  Monte Carlo laws draw
+    ``(mc_trials, rows)`` symmetrized entries per vector, column and group, in
+    that loop order, so memory stays at one vector's draws.  Each column's
+    total adds its groups in order, as a per-vector loop would.
+    """
+    mc = [g for groups in columns for g in groups if g.monte_carlo]
+    if mc and stream is None:
+        raise ValueError("a law without finite symmetrized support needs a stream")
+    mc_vals = np.empty((len(mc), ys.shape[0]))
+    for b, y in enumerate(ys):
+        for k, g in enumerate(mc):
+            draws = g.law.sample_symmetrized(stream, (mc_trials, g.rows.size))
+            mc_vals[k, b] = np.sum(np.mean(_residual_sq(y[g.rows][None, :] * draws), axis=0))
+    out = np.zeros((len(columns), ys.shape[0]))
+    mc_rows = iter(mc_vals)
+    for c, groups in enumerate(columns):
+        for g in groups:
+            if g.monte_carlo:
+                out[c] += next(mc_rows)
+            else:
+                out[c] += np.sum(_residual_sq(ys[:, g.rows][:, :, None] * g.atoms) @ g.weights,
+                                 axis=1)
+    return out
 
 
 def expected_sq_dist_to_lattice(y: np.ndarray, laws, mc_trials: int,
@@ -72,38 +92,46 @@ def expected_sq_dist_to_lattice(y: np.ndarray, laws, mc_trials: int,
     laws = list(laws)
     if y.size != len(laws):
         raise ValueError(f"vector length {y.size} does not match {len(laws)} laws")
-    groups: dict[DistributionLaw, list[int]] = {}
-    for i, law in enumerate(laws):
-        groups.setdefault(law, []).append(i)
-    total = 0.0
-    for law, idx in groups.items():
-        support = law.symmetrized_support()
-        coords = y[idx]
-        if support is not None:
-            atoms, weights = support
-            prods = coords[:, None] * np.asarray(atoms)[None, :]
-            total += float(np.sum(_residual_sq(prods) @ np.asarray(weights)))
-        else:
-            if stream is None:
-                raise ValueError("a law without finite symmetrized support needs a stream")
-            draws = law.sample_symmetrized(stream, (mc_trials, len(idx)))
-            total += float(np.sum(np.mean(_residual_sq(coords[None, :] * draws), axis=0)))
-    return total
+    groups = LatticePlan.column_groups(laws)
+    return float(_sq_dists(y.reshape(1, -1), [groups], mc_trials, stream)[0, 0])
+
+
+def _min_sq_dist(ys: np.ndarray, profile: EntryProfile, column_indices, mc_trials: int,
+                 stream: np.random.Generator | None) -> np.ndarray:
+    """Minimum over the given profile columns of E dist^2, for each row of ys.
+
+    A column repeated in ``column_indices`` or in the profile is evaluated
+    once; distinct columns are visited in order of first appearance.
+    """
+    plan = profile.lattice_plan
+    distinct = dict.fromkeys(int(plan.column_of[j]) for j in column_indices)
+    return np.min(_sq_dists(ys, [plan.groups[c] for c in distinct], mc_trials, stream),
+                  axis=0)
 
 
 def matrix_lattice_distance(x: np.ndarray, profile: EntryProfile, mc_trials: int = 1000,
-                            stream: np.random.Generator | None = None) -> float:
+                            stream: np.random.Generator | None = None):
     """Lattice distance of x against a matrix profile: the best column wins.
 
     For each column j, computes E dist^2(x * symmetrized column j, Z^n) and
-    returns the square root of the minimum over columns.
+    returns the square root of the minimum over columns.  ``x`` is one
+    vector (the result is a float) or an n x B array of column vectors (the
+    result is an array of B distances, the same as B single calls).
+
+    Columns with equal laws are evaluated once, so a homogeneous profile
+    costs one column.  Finitely supported laws are summed exactly; the
+    others take ``mc_trials`` Monte Carlo draws from the stream per vector
+    and per distinct column, so a repeated Monte Carlo column is one
+    estimate, not the minimum of several independent ones.
     """
     x = np.asarray(x, dtype=float)
-    if x.size != profile.n_rows:
-        raise ValueError(f"vector length {x.size} does not match profile rows {profile.n_rows}")
-    best = min(expected_sq_dist_to_lattice(x, profile.column(j), mc_trials, stream)
-               for j in range(profile.n_cols))
-    return math.sqrt(max(best, 0.0))
+    n = profile.n_rows
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"expected a length-{n} vector or an {n} x B array, got shape {x.shape}")
+    ys = np.ascontiguousarray(x.reshape(n, -1).T)
+    best = np.sqrt(np.maximum(
+        _min_sq_dist(ys, profile, range(profile.n_cols), mc_trials, stream), 0.0))
+    return float(best[0]) if x.ndim == 1 else best
 
 
 def log_plus(v: float) -> float:
@@ -175,7 +203,15 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
     signed axis directions plus ``n_directions`` random ones (none random
     when m = 1, where the axis pair is exhaustive).  When ``trace`` is a
     list, one (radius, lhs, rhs, witness_flag) row per radius is appended
-    for the best direction seen at that radius.
+    for the best direction seen at that radius, up to and including the
+    first witness.
+
+    All directions of one radius go to the lattice kernel as one batch (see
+    :func:`matrix_lattice_distance`): selected columns with equal laws are
+    evaluated once, and the first witness in direction order is reported.
+    Monte Carlo laws draw for every direction of the batch, so after a hit
+    the stream has advanced past draws a direction-by-direction search
+    would not have made.
     """
     v = np.asarray(basis, dtype=float)
     if v.ndim != 2:
@@ -201,10 +237,6 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
         fixed_dirs = np.concatenate([np.eye(m), -np.eye(m)])
         n_random = n_directions
 
-    def lhs_of(y):
-        return min(expected_sq_dist_to_lattice(y, profile.column(j), params.mc_trials, stream)
-                   for j in cols)
-
     n_steps = int(math.floor((params.radius_cap - floor) / params.resolution))
     cleared = floor
     for step in range(n_steps + 1):
@@ -214,16 +246,18 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
             extra = stream.standard_normal((n_random, m))
             extra /= np.linalg.norm(extra, axis=1, keepdims=True)
             dirs = np.concatenate([fixed_dirs, extra])
-        best = (math.inf, -math.inf, None)  # (lhs - rhs margin, rhs, theta)
+        thetas = radius * dirs
+        # One product per direction: a single matrix product rounds differently.
+        ys = np.stack([v.T @ theta for theta in thetas])
+        rhs = [params.L ** 2 * log_plus(params.alpha * float(np.linalg.norm(y)) / params.L)
+               for y in ys]
+        lhs = _min_sq_dist(ys, profile, cols, params.mc_trials, stream).tolist()
+        best = (math.inf, -math.inf)  # (lhs - rhs margin, rhs) of the best direction so far
         hit = None
-        for u in dirs:
-            theta = radius * u
-            y = v.T @ theta
-            rhs = params.L ** 2 * log_plus(params.alpha * float(np.linalg.norm(y)) / params.L)
-            lhs = lhs_of(y)
-            if lhs - rhs < best[0]:
-                best = (lhs - rhs, rhs, theta)
-            if lhs < rhs:
+        for theta, left, right in zip(thetas, lhs, rhs):
+            if left - right < best[0]:
+                best = (left - right, right)
+            if left < right:
                 hit = theta
                 break
         if trace is not None:

@@ -40,7 +40,8 @@ import numpy as np
 
 from . import __version__
 from .arithmetic import RLCDParams, rlcd_estimate
-from .ensembles import EntryProfile, parse_law_spec, profile_from_rules, sample_matrix
+from .ensembles import (EntryProfile, parse_law_spec, parse_profile_rules, profile_from_rules,
+                        sample_matrix)
 from .errors import CampaignError
 from .experiments import (ExperimentConfig, rank_tail_exact_rademacher, rank_tail_from_table,
                           run_trials, singular_tail_mc, norm_concentration_mc,
@@ -202,23 +203,19 @@ def _c_tol(campaign):
 
 def _build_profile(campaign, n_rows: int, n_cols: int) -> EntryProfile:
     k_cap = _c_float(campaign, "k_cap", 2.0)
-    rules = []
+    lines = [(line_no, f"{key} = {value}") for line_no, key, value in campaign.law_rules]
     base = campaign.get("profile")
     if base is not None:
-        try:
-            rules.append(("*", "*", parse_law_spec(base)))
-        except ValueError as exc:
-            raise CampaignError(f"line {campaign.values['profile'][1]}: {exc}")
-    for line_no, key, value in campaign.law_rules:
-        parts = key.split(".")
-        try:
-            sel = tuple("*" if p == "*" else int(p) for p in parts[1:])
-            rules.append((sel[0], sel[1], parse_law_spec(value)))
-        except ValueError as exc:
-            raise CampaignError(f"line {line_no}: {exc}")
-    if not rules:
+        lines.insert(0, (campaign.values["profile"][1], f"law.*.* = {base}"))
+    if not lines:
         raise CampaignError(f"{campaign.kind} campaign needs a profile "
                             "(profile = <law> or law.<i>.<j> rules)")
+    rules = []
+    for line_no, text in lines:
+        try:
+            rules.extend(parse_profile_rules([text]))
+        except ValueError as exc:
+            raise CampaignError(f"line {line_no}: {exc}")
     try:
         return profile_from_rules(rules, n_rows, n_cols, k_cap)
     except ValueError as exc:
@@ -322,18 +319,31 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
                         radius_cap=_c_float(campaign, "radius_cap"),
                         resolution=_c_float(campaign, "resolution"),
                         mc_trials=_c_int(campaign, "mc_trials", 1000))
-    basis_spec = campaign.get("basis", "axis 1")
+    basis_spec, basis_line = campaign.values.get("basis", ("axis 1", None))
     parts = basis_spec.split()
     if parts[0] == "axis" and len(parts) == 2:
-        m = int(parts[1])
+        try:
+            m = int(parts[1])
+        except ValueError:
+            m = 0
+        if not 1 <= m <= n:
+            raise CampaignError(f"line {basis_line}: basis 'axis <m>' needs an integer m "
+                                f"in [1, {n}], got {parts[1]!r}")
         basis = np.eye(n)[:m]
     elif parts[0] == "file" and len(parts) == 2:
         basis = read_matrix(parts[1])
     else:
-        raise CampaignError(f"basis must be 'axis <m>' or 'file <path>', got {basis_spec!r}")
+        raise CampaignError(f"line {basis_line}: basis must be 'axis <m>' or 'file <path>', "
+                            f"got {basis_spec!r}")
     columns = campaign.get("columns")
-    col_idx = ([int(v) for v in columns.split(",")] if columns is not None
-               else list(range(profile.n_cols)))
+    if columns is None:
+        col_idx = list(range(profile.n_cols))
+    else:
+        try:
+            col_idx = [int(v) for v in columns.split(",")]
+        except ValueError:
+            raise CampaignError(f"line {campaign.values['columns'][1]}: key 'columns' must be "
+                                f"a comma list of integers, got {columns!r}")
     trace: list = []
     est = rlcd_estimate(basis, profile, col_idx, params, stream,
                         n_directions=_c_int(campaign, "directions", 32), trace=trace)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .errors import EstimationError
 __all__ = [
     "DistributionLaw",
     "EntryProfile",
+    "LatticePlan",
+    "LawGroup",
     "SamplingPlan",
     "atom_moments",
     "rademacher",
@@ -32,7 +35,6 @@ __all__ = [
     "parse_law_spec",
     "parse_profile_rules",
     "profile_from_rules",
-    "sample_entry",
     "sample_symmetrized",
     "sample_matrix",
     "paley_zygmund_floor",
@@ -311,7 +313,22 @@ class EntryProfile:
         cell_code = code[inverse]
         return SamplingPlan(len(groups) == 1,
                             tuple((law, np.flatnonzero(cell_code == g))
-                                  for law, g in groups.items()))
+                                  for law, g in groups.items()),
+                            cell_code)
+
+    @cached_property
+    def lattice_plan(self) -> "LatticePlan":
+        """Distinct columns with their law groups, built on first use and kept on the profile."""
+        codes = self.sampling_plan.cell_code.reshape(self.n_rows, self.n_cols)
+        distinct: dict[bytes, int] = {}
+        first_columns = []
+        column_of = np.empty(self.n_cols, dtype=np.intp)
+        for j in range(self.n_cols):
+            column_of[j] = distinct.setdefault(codes[:, j].tobytes(), len(distinct))
+            if column_of[j] == len(first_columns):
+                first_columns.append(j)
+        return LatticePlan(column_of, tuple(LatticePlan.column_groups(self.column(j))
+                                            for j in first_columns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,11 +336,56 @@ class SamplingPlan:
     """How :func:`sample_matrix` draws a profile: one vectorized call per distinct law.
 
     ``groups`` pairs each distinct law, in order of first appearance, with the
-    flat row-major indices of its cells.
+    flat row-major indices of its cells; ``cell_code`` gives each flat
+    row-major cell the index of its group.
     """
 
     homogeneous: bool
     groups: tuple[tuple[DistributionLaw, np.ndarray], ...]
+    cell_code: np.ndarray
+
+
+class LawGroup(NamedTuple):
+    """Rows of one column that share a law, with the law's symmetrized support.
+
+    ``atoms``/``weights`` describe X - X' exactly for finitely supported laws;
+    both are None for the others, which are estimated by Monte Carlo.
+    """
+
+    law: DistributionLaw
+    rows: np.ndarray
+    atoms: np.ndarray | None
+    weights: np.ndarray | None
+
+    @property
+    def monte_carlo(self) -> bool:
+        return self.atoms is None
+
+
+class LatticePlan(NamedTuple):
+    """How the lattice-distance kernel reads a profile: one entry per distinct column.
+
+    Column j of the profile is evaluated with ``groups[column_of[j]]``, so
+    columns with equal laws share one entry; entries are in order of first
+    appearance.  Each entry lists the column's law groups in order of first
+    appearance down the column.
+    """
+
+    column_of: np.ndarray
+    groups: tuple[tuple[LawGroup, ...], ...]
+
+    @staticmethod
+    def column_groups(laws) -> tuple[LawGroup, ...]:
+        """Law groups of one column given as a sequence of laws, one per row."""
+        rows: dict[DistributionLaw, list[int]] = {}
+        for i, law in enumerate(laws):
+            rows.setdefault(law, []).append(i)
+        out = []
+        for law, idx in rows.items():
+            support = law.symmetrized_support()
+            atoms, weights = (None, None) if support is None else map(np.asarray, support)
+            out.append(LawGroup(law, np.asarray(idx, dtype=np.intp), atoms, weights))
+        return tuple(out)
 
 
 def parse_profile_rules(lines) -> list[tuple[object, object, DistributionLaw]]:
@@ -365,11 +427,6 @@ def profile_from_rules(rules, n_rows: int, n_cols: int, k_cap: float) -> EntryPr
             if law is None:
                 raise ValueError(f"profile rule set leaves cell ({i},{j}) unassigned")
     return EntryProfile(n_rows, n_cols, tuple(tuple(r) for r in grid), k_cap)
-
-
-def sample_entry(law: DistributionLaw, stream: np.random.Generator) -> float:
-    """One draw from the law; deterministic given the stream state."""
-    return float(law.sample(stream))
 
 
 def sample_symmetrized(law, stream: np.random.Generator) -> float:

@@ -28,6 +28,7 @@ import numpy as np
 from .arithmetic import RLCDEstimate, RLCDParams, matrix_lattice_distance, rlcd_estimate
 from .ensembles import DistributionLaw, EntryProfile, sample_matrix
 from .errors import ResourceLimitError
+from .rounding import annulus_check
 from .sphere import almost_orthogonal_check, dist_to_sparse, sampled_span_incompressible
 
 __all__ = [
@@ -209,8 +210,11 @@ def singular_tail_mc(config: ExperimentConfig, comparison_c: float = 1.0,
 
     Returns a structured array over config.epsilon_grid with fields
     (epsilon, estimate, stderr, bound) where bound is the reference shape
-    (C epsilon / k)^(gamma k^2) at caller-supplied C.  All epsilons share
-    one trial table, so estimates are non-decreasing exactly.
+    (C epsilon / k)^(gamma k^2) at caller-supplied C = ``comparison_c``.
+    That shape is the bound of Jain, Sah and Sawhney, "Rank deficiency of
+    random matrices"; with C chosen by the caller the curve is a shape to
+    compare against, not a certificate.  All epsilons share one trial
+    table, so estimates are non-decreasing exactly.
     """
     if config.k < 1:
         raise ValueError("singular-value tails need k >= 1")
@@ -299,7 +303,8 @@ def norm_concentration_mc(law: DistributionLaw, n_grid, trials: int,
     """
     if math.isinf(law.support_bound()):
         raise ValueError("the operator-norm check needs a bounded entry law")
-    rows = np.empty(len(list(n_grid)), NORM_DTYPE)
+    n_grid = list(n_grid)
+    rows = np.empty(len(n_grid), NORM_DTYPE)
     for i, n in enumerate(n_grid):
         profile = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
         mats = sample_matrix(profile, stream, trials)
@@ -374,7 +379,7 @@ def kernel_tuple_event_check(v_tuple: np.ndarray, b_matrix: np.ndarray,
     v = np.asarray(v_tuple, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    n, l = v.shape
+    n = v.shape[0]
     b = np.asarray(b_matrix, dtype=float)
     if b.shape[1] != n:
         raise ValueError(f"b_matrix must have {n} columns")
@@ -394,23 +399,10 @@ def kernel_tuple_event_check(v_tuple: np.ndarray, b_matrix: np.ndarray,
     flags["span_incomp"] = span_ok
     orth_ok, _, _ = almost_orthogonal_check(v, 0.125)
     flags["almost_orth"] = orth_ok
-    flags["lattice_dist"] = all(
-        matrix_lattice_distance(v[:, j], a_profile, mc_trials, stream) <= params.rho * sqrt_n
-        for j in range(l))
-
-    ball_radius = 1.0 / (20.0 * math.sqrt(l))
-    raw = stream.standard_normal((l, n_annulus_samples))
-    raw /= np.linalg.norm(raw, axis=0)
-    radii = ball_radius * stream.random(n_annulus_samples) ** (1.0 / l)
-    images = v @ (raw * radii)
-    keep = np.linalg.norm(images, axis=0) >= 2.0 * params.r * sqrt_n
-    annulus_ok = True
-    for idx in np.flatnonzero(keep):
-        if matrix_lattice_distance(images[:, idx], a_profile, mc_trials,
-                                   stream) <= params.rho * sqrt_n:
-            annulus_ok = False
-            break
-    flags["annulus"] = annulus_ok
+    flags["lattice_dist"] = bool(np.all(
+        matrix_lattice_distance(v, a_profile, mc_trials, stream) <= params.rho * sqrt_n))
+    flags["annulus"] = annulus_check(v, a_profile, 2.0 * params.r * sqrt_n, params.rho * sqrt_n,
+                                     stream, n_annulus_samples, mc_trials).passed
     return all(flags.values()), flags
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "PropertyCheck",
     "RoundingParams",
     "RoundingReport",
+    "annulus_check",
     "default_delta",
     "randomized_round",
     "rounding_report",
@@ -157,7 +158,7 @@ def rounding_report(v_tuple: np.ndarray, u_tuple: np.ndarray, a_profile: EntryPr
     u = _as_tuple_matrix(u_tuple, "u_tuple")
     if v.shape != u.shape:
         raise ValueError(f"tuple shapes differ: {v.shape} vs {u.shape}")
-    n, l = v.shape
+    n = v.shape[0]
     if a_profile.n_rows != n:
         raise ValueError(f"profile rows {a_profile.n_rows} do not match vector length {n}")
     b = np.asarray(b_matrix, dtype=float)
@@ -181,12 +182,12 @@ def rounding_report(v_tuple: np.ndarray, u_tuple: np.ndarray, a_profile: EntryPr
                                                       stream, n_span_samples)
     incomp = PropertyCheck("span_incomp", span_worst, span_rho, span_ok)
 
-    dist_meas = max(matrix_lattice_distance(u[:, j], a_profile, mc_trials, stream)
-                    for j in range(l))
+    dist_meas = float(np.max(matrix_lattice_distance(u, a_profile, mc_trials, stream)))
     dist_thresh = 2.0 * params.rho * sqrt_n
     lattice = PropertyCheck("lattice_dist", dist_meas, dist_thresh, dist_meas < dist_thresh)
 
-    annulus = _annulus_check(u, a_profile, params, stream, n_annulus_samples, mc_trials)
+    annulus = annulus_check(u, a_profile, 8.0 * params.r * sqrt_n, (params.rho / 2.0) * sqrt_n,
+                            stream, n_annulus_samples, mc_trials)
 
     img_meas = float(np.max(np.linalg.norm(b @ u, axis=0)))
     img_thresh = 2.0 * params.K * params.delta * n
@@ -195,30 +196,28 @@ def rounding_report(v_tuple: np.ndarray, u_tuple: np.ndarray, a_profile: EntryPr
     return RoundingReport(sup, op, orth, incomp, lattice, annulus, image)
 
 
-def _annulus_check(u: np.ndarray, a_profile: EntryProfile, params: RoundingParams,
-                   stream: np.random.Generator, n_samples: int,
-                   mc_trials: int) -> PropertyCheck:
+def annulus_check(u: np.ndarray, a_profile: EntryProfile, keep_norm: float,
+                  threshold: float, stream: np.random.Generator, n_samples: int,
+                  mc_trials: int) -> PropertyCheck:
     """Sampled check that small-coefficient, large-image combinations stay lattice-far.
 
     Draws theta uniformly in the ball of radius 1/(20 sqrt(l)), keeps those
-    with |U theta| >= 8 r sqrt(n), and requires the lattice distance of every
-    kept image to exceed (rho/2) sqrt(n).  No kept sample means a vacuous
-    pass with measured value +inf.
+    with |U theta| >= keep_norm, and requires the lattice distance of every
+    kept image to exceed ``threshold``; all kept images go to
+    :func:`matrix_lattice_distance` in one batch.  The measured value is the
+    smallest such distance; no kept sample means a vacuous pass with
+    measured value +inf.
     """
-    n, l = u.shape
-    sqrt_n = math.sqrt(n)
+    l = u.shape[1]
     ball_radius = 1.0 / (20.0 * math.sqrt(l))
     raw = stream.standard_normal((l, n_samples))
     raw /= np.linalg.norm(raw, axis=0)
     radii = ball_radius * stream.random(n_samples) ** (1.0 / l)
-    thetas = raw * radii
-    images = u @ thetas
-    keep = np.linalg.norm(images, axis=0) >= 8.0 * params.r * sqrt_n
-    threshold = (params.rho / 2.0) * sqrt_n
+    images = u @ (raw * radii)
+    kept = images[:, np.linalg.norm(images, axis=0) >= keep_norm]
     measured = math.inf
-    for idx in np.flatnonzero(keep):
-        d = matrix_lattice_distance(images[:, idx], a_profile, mc_trials, stream)
-        measured = min(measured, d)
+    if kept.shape[1]:
+        measured = float(np.min(matrix_lattice_distance(kept, a_profile, mc_trials, stream)))
     return PropertyCheck("annulus", measured, threshold, measured > threshold)
 
 
@@ -253,9 +252,8 @@ def in_rounding_net(u_tuple: np.ndarray, radii, a_profile: EntryProfile,
     if np.any(norms < d / 2.0) or np.any(norms > 4.0 * d):
         return False
     limit = 2.0 * params.rho * math.sqrt(n)
-    for j in range(u.shape[1]):
-        if matrix_lattice_distance(u[:, j], a_profile, mc_trials, stream) >= limit:
-            return False
+    if np.any(matrix_lattice_distance(u, a_profile, mc_trials, stream) >= limit):
+        return False
     ok, _ = sampled_span_incompressible(u, params.tau ** 2, params.tau ** 4 / 2.0,
                                         stream, n_span_samples)
     return ok

@@ -17,7 +17,6 @@ from rmtlab.arithmetic import (
     log_plus,
     matrix_lattice_distance,
     rlcd_estimate,
-    schur_product,
 )
 from rmtlab.ensembles import EntryProfile, gaussian, rademacher, uniform_scaled
 from rmtlab.errors import ResourceLimitError
@@ -64,15 +63,6 @@ def test_lattice_distance_periodic(seed):
     y = np.round(stream.uniform(-4.0, 4.0, size=4) * 1024.0) / 1024.0
     shift = stream.integers(-100, 100, size=4).astype(float)
     assert dist_to_lattice(y + shift) == dist_to_lattice(y)
-
-
-def test_schur_product():
-    np.testing.assert_array_equal(
-        schur_product(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-        np.array([3.0, 8.0]),
-    )
-    with pytest.raises(ValueError):
-        schur_product(np.ones(2), np.ones(3))
 
 
 def test_log_plus():

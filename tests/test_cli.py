@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,37 @@ def test_rlcd_campaign_brackets_scalar_landscape(tmp_path):
     assert float(upper) == pytest.approx(2.001, abs=1e-9)
     assert note == ""
     assert os.path.exists(os.path.join(out, "rlcd.trace.tsv"))
+
+
+RLCD_CFG = ("kind = rlcd\nseed = 2\nn = 3\nprofile = rademacher\n"
+            "L = 1.0\nalpha = 0.5\nradius_cap = 3.0\nresolution = 0.5\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("basis = axis 9", "in \\[1, 3\\], got '9'"),
+    ("basis = axis 0", "in \\[1, 3\\], got '0'"),
+    ("basis = axis two", "in \\[1, 3\\], got 'two'"),
+    ("basis = axis 1.5", "in \\[1, 3\\], got '1.5'"),
+    ("basis = corner 1", "basis must be"),
+    ("columns = 0,x", "comma list of integers"),
+    ("columns = 0.5", "comma list of integers"),
+])
+def test_rlcd_campaign_rejects_bad_basis_and_columns(tmp_path, capsys, line, message):
+    cfg = parse_campaign(RLCD_CFG + line + "\n")
+    assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "line 9:" in err
+    assert re.search(message, err)
+
+
+def test_profile_rule_errors_name_their_line(tmp_path, capsys):
+    cfg = parse_campaign("kind = sample\nseed = 1\nn = 2\nprofile = rademacher\n"
+                         "law.0.1 = gaussian\nlaw.1.* = cauchy\n")
+    assert run_campaign(cfg, out_dir=str(tmp_path / "a")) == 2
+    assert "line 6: unknown law spec 'cauchy'" in capsys.readouterr().err
+    cfg = parse_campaign("kind = sample\nseed = 1\nn = 2\nprofile = lognormal\n")
+    assert run_campaign(cfg, out_dir=str(tmp_path / "b")) == 2
+    assert "line 4: unknown law spec 'lognormal'" in capsys.readouterr().err
 
 
 def test_round_campaign_writes_report(tmp_path):

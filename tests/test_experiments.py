@@ -453,3 +453,11 @@ def test_scaling_fit_needs_two_points():
     with pytest.raises(ValueError):
         with pytest.warns(UserWarning):
             scaling_fit([(2, 1, 0.5), (3, 1, 0.0)])
+
+
+def test_norm_concentration_accepts_a_generator_grid():
+    rows = norm_concentration_mc(rademacher(), (n for n in [3, 4]), 50,
+                                 np.random.default_rng(2))
+    want = norm_concentration_mc(rademacher(), [3, 4], 50, np.random.default_rng(2))
+    assert rows["n"].tolist() == [3, 4]
+    assert rows.tolist() == want.tolist()

@@ -1,0 +1,290 @@
+"""The batched lattice-distance kernel against the per-vector, per-column loop.
+
+The reference functions below are the 0.2.0 implementations: one
+``expected_sq_dist_to_lattice`` call per vector and per profile column, with
+the laws of the column grouped on every call.  Finitely supported laws must
+give bit-identical results through the batched kernel, and so must Monte
+Carlo laws as long as no Monte Carlo column repeats.
+"""
+
+import math
+import os
+
+import numpy as np
+import pytest
+
+from rmtlab.arithmetic import (RLCDEstimate, RLCDParams, log_plus, matrix_lattice_distance,
+                               rlcd_estimate)
+from rmtlab.cli import parse_campaign, run_campaign
+from rmtlab.ensembles import (DistributionLaw, EntryProfile, discrete, gaussian,
+                              profile_from_rules, rademacher, sparse_bernoulli)
+from rmtlab.experiments import KernelEventParams, kernel_tuple_event_check
+from rmtlab.rounding import RoundingParams, randomized_round, rounding_report
+from rmtlab.sphere import almost_orthogonal_check, sampled_span_incompressible
+
+# --- 0.2.0 reference: one vector, one column at a time ---
+
+
+def ref_esd(y, laws, mc_trials, stream=None):
+    y = np.asarray(y, dtype=float)
+    groups = {}
+    for i, law in enumerate(laws):
+        groups.setdefault(law, []).append(i)
+    total = 0.0
+    for law, idx in groups.items():
+        support = law.symmetrized_support()
+        coords = y[idx]
+        if support is not None:
+            atoms, weights = support
+            r = coords[:, None] * np.asarray(atoms)[None, :]
+            r = r - np.round(r)
+            total += float(np.sum((r * r) @ np.asarray(weights)))
+        else:
+            draws = law.sample_symmetrized(stream, (mc_trials, len(idx)))
+            r = coords[None, :] * draws
+            r = r - np.round(r)
+            total += float(np.sum(np.mean(r * r, axis=0)))
+    return total
+
+
+def ref_mld(x, profile, mc_trials=1000, stream=None):
+    best = min(ref_esd(x, profile.column(j), mc_trials, stream) for j in range(profile.n_cols))
+    return math.sqrt(max(best, 0.0))
+
+
+def ref_rlcd(v, profile, cols, params, stream, n_directions, trace):
+    m = v.shape[0]
+    floor = params.L / (params.alpha * float(np.linalg.svd(v, compute_uv=False)[0]))
+    if m == 1:
+        fixed_dirs, n_random = np.array([[1.0], [-1.0]]), 0
+    else:
+        fixed_dirs, n_random = np.concatenate([np.eye(m), -np.eye(m)]), n_directions
+    n_steps = int(math.floor((params.radius_cap - floor) / params.resolution))
+    cleared = floor
+    for step in range(n_steps + 1):
+        radius = floor + step * params.resolution
+        dirs = fixed_dirs
+        if n_random:
+            extra = stream.standard_normal((n_random, m))
+            extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+            dirs = np.concatenate([fixed_dirs, extra])
+        best = (math.inf, -math.inf, None)
+        hit = None
+        for u in dirs:
+            theta = radius * u
+            y = v.T @ theta
+            rhs = params.L ** 2 * log_plus(params.alpha * float(np.linalg.norm(y)) / params.L)
+            lhs = min(ref_esd(y, profile.column(j), params.mc_trials, stream) for j in cols)
+            if lhs - rhs < best[0]:
+                best = (lhs - rhs, rhs, theta)
+            if lhs < rhs:
+                hit = theta
+                break
+        trace.append((radius, best[0] + best[1], best[1], hit is not None))
+        if hit is not None:
+            return RLCDEstimate(lower=cleared, upper=radius, witness=hit)
+        cleared = radius
+    return RLCDEstimate(lower=cleared, upper=math.inf, witness=None)
+
+
+def ref_annulus(u, profile, keep_norm, stream, n_samples, mc_trials):
+    """Smallest lattice distance over the kept annulus images (inf when none is kept)."""
+    l = u.shape[1]
+    raw = stream.standard_normal((l, n_samples))
+    raw /= np.linalg.norm(raw, axis=0)
+    radii = 1.0 / (20.0 * math.sqrt(l)) * stream.random(n_samples) ** (1.0 / l)
+    images = u @ (raw * radii)
+    measured = math.inf
+    for idx in np.flatnonzero(np.linalg.norm(images, axis=0) >= keep_norm):
+        measured = min(measured, ref_mld(images[:, idx], profile, mc_trials, stream))
+    return measured
+
+
+# --- profiles ---
+
+
+def _mixed_finite(n):
+    """Rademacher, two equal sparse columns, a discrete row and one odd cell."""
+    return profile_from_rules([
+        ("*", "*", rademacher()),
+        ("*", 2, sparse_bernoulli(0.3)),
+        ("*", n - 3, sparse_bernoulli(0.3)),
+        (4, "*", discrete([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3])),
+        (0, n - 2, discrete([0.0, 1.0, 3.0], [0.5, 0.25, 0.25])),
+    ], n, n, 3.0)
+
+
+def _checkerboard(n):
+    """Two distinct columns, each alternating two laws down its rows."""
+    laws = (rademacher(), sparse_bernoulli(0.5))
+    grid = tuple(tuple(laws[(i + j) % 2] for j in range(n)) for i in range(n))
+    return EntryProfile(n, n, grid, 3.0)
+
+
+def _gaussian_column(n):
+    """Finite laws everywhere except one gaussian column, itself split by a sparse row."""
+    return profile_from_rules([
+        ("*", "*", rademacher()),
+        ("*", 3, gaussian()),
+        (1, "*", sparse_bernoulli(0.5)),
+    ], n, n, 3.0)
+
+
+FINITE = {
+    "homogeneous": lambda n: EntryProfile.homogeneous(n, n, rademacher(), 2.0),
+    "mixed": _mixed_finite,
+    "checkerboard": _checkerboard,
+}
+ALL = dict(FINITE, gaussian_column=_gaussian_column)
+
+
+def test_lattice_plan_shares_equal_columns():
+    plan = _mixed_finite(9).lattice_plan
+    assert plan.column_of.tolist() == [0, 0, 1, 0, 0, 0, 1, 2, 0]
+    rows = [[g.rows.tolist() for g in groups] for groups in plan.groups]
+    assert rows[0] == [[0, 1, 2, 3, 5, 6, 7, 8], [4]]
+    assert rows[2] == [[0], [1, 2, 3, 5, 6, 7, 8], [4]]
+    assert len(EntryProfile.homogeneous(5, 5, gaussian(), 2.0).lattice_plan.groups) == 1
+    assert [g.rows.tolist() for g in _checkerboard(4).lattice_plan.groups[1]] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_batched_distance_matches_per_vector_loop(name):
+    n = 9
+    profile = FINITE[name](n)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((n, 12)) * np.array([0.3, 1.0, 7.0, 40.0] * 3)
+    want = [ref_mld(x[:, b], profile, 100) for b in range(x.shape[1])]
+    got = matrix_lattice_distance(x, profile, 100)
+    assert isinstance(got, np.ndarray) and got.tolist() == want
+    assert [matrix_lattice_distance(x[:, b], profile, 100) for b in range(x.shape[1])] == want
+
+
+def test_gaussian_column_matches_per_vector_loop():
+    n = 8
+    profile = _gaussian_column(n)
+    x = np.random.default_rng(6).standard_normal((n, 5)) * 3.0
+    stream, ref_stream = np.random.default_rng(1), np.random.default_rng(1)
+    got = matrix_lattice_distance(x, profile, 150, stream)
+    want = [ref_mld(x[:, b], profile, 150, ref_stream) for b in range(x.shape[1])]
+    assert got.tolist() == want
+    assert stream.bit_generator.state == ref_stream.bit_generator.state
+    one = matrix_lattice_distance(x[:, 0], profile, 150, np.random.default_rng(2))
+    assert one == ref_mld(x[:, 0], profile, 150, np.random.default_rng(2))
+
+
+def test_repeated_gaussian_column_is_estimated_once(monkeypatch):
+    n, mc_trials = 5, 100
+    profile = EntryProfile.homogeneous(n, n, gaussian(), 2.0)
+    sizes = []
+    original = DistributionLaw.sample_symmetrized
+
+    def counting(self, stream, size=None):
+        sizes.append(math.prod(size))
+        return original(self, stream, size)
+
+    monkeypatch.setattr(DistributionLaw, "sample_symmetrized", counting)
+    x = np.random.default_rng(3).standard_normal((n, 3))
+    got = matrix_lattice_distance(x, profile, mc_trials, np.random.default_rng(9))
+    assert sizes == [mc_trials * n] * 3
+    ref_stream = np.random.default_rng(9)
+    want = [math.sqrt(ref_esd(x[:, b], profile.column(0), mc_trials, ref_stream))
+            for b in range(3)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_rlcd_matches_per_direction_loop(name):
+    n = 8
+    profile = ALL[name](n)
+    rng = np.random.default_rng(12)
+    # A random row first and the all-ones row second, so witnesses can land
+    # inside a batch rather than on its first direction.
+    ones = np.full(n, 1.0 / math.sqrt(n))
+    other = rng.standard_normal(n)
+    other -= (other @ ones) * ones
+    basis = np.vstack([other / np.linalg.norm(other), ones])
+    cols = [5, 0, 3, 2, 6]
+    params = RLCDParams(L=1.0, alpha=0.5, radius_cap=6.0, resolution=0.25, mc_trials=120)
+    trace, ref_trace = [], []
+    est = rlcd_estimate(basis, profile, cols, params, np.random.default_rng(7),
+                        n_directions=5, trace=trace)
+    want = ref_rlcd(basis, profile, cols, params, np.random.default_rng(7), 5, ref_trace)
+    assert (est.lower, est.upper) == (want.lower, want.upper)
+    assert est.witness is not None and np.array_equal(est.witness, want.witness)
+    assert trace == ref_trace
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_rounding_report_lattice_rows_match_loop(name):
+    n, l = 12, 2
+    profile = ALL[name](n)
+    rng = np.random.default_rng(21)
+    v = rng.standard_normal((n, l))
+    v *= 150.0 / np.linalg.norm(v, axis=0)
+    params = RoundingParams(delta=0.05, rho=0.3, tau=0.5, K=3.0, r=0.05)
+    u = np.column_stack([randomized_round(v[:, j], params.delta, rng) for j in range(l)])
+    b = rng.standard_normal((n, n))
+    report = rounding_report(v, u, profile, b, params, np.random.default_rng(5),
+                             n_span_samples=100, n_annulus_samples=60, mc_trials=150)
+
+    stream = np.random.default_rng(5)
+    sampled_span_incompressible(u, params.tau ** 2, params.tau ** 4 / 2.0, stream, 100)
+    dist = max(ref_mld(u[:, j], profile, 150, stream) for j in range(l))
+    annulus = ref_annulus(u, profile, 8.0 * params.r * math.sqrt(n), stream, 60, 150)
+    assert math.isfinite(annulus)
+    assert (report.lattice_dist.measured, report.annulus.measured) == (dist, annulus)
+    assert report.lattice_dist.passed == (dist < 2.0 * params.rho * math.sqrt(n))
+    assert report.annulus.passed == (annulus > params.rho / 2.0 * math.sqrt(n))
+
+
+@pytest.mark.parametrize("name, rho", [(name, rho) for name in sorted(FINITE)
+                                       for rho in (0.1, 0.5)]
+                         + [("gaussian_column", 0.5)])
+def test_kernel_event_flags_match_loop(name, rho):
+    n, l = 12, 2
+    profile = ALL[name](n)
+    rng = np.random.default_rng(30)
+    b = rng.standard_normal((n - l, n))
+    v = np.linalg.svd(b)[2][n - l:].T * 60.0
+    params = KernelEventParams(tau=0.5, rho=rho, r=0.05, L=1.0)
+    ok, flags = kernel_tuple_event_check(v, b, profile, params, np.random.default_rng(8),
+                                         n_span_samples=100, n_annulus_samples=40,
+                                         mc_trials=150)
+
+    stream = np.random.default_rng(8)
+    sqrt_n = math.sqrt(n)
+    col_norms = np.linalg.norm(v, axis=0)
+    want = {
+        "norm_window": bool(np.all(col_norms >= 2.0 * params.r * sqrt_n)
+                            and np.all(col_norms <= math.exp(rho ** 2 * n / 4.0))),
+        "span_incomp": sampled_span_incompressible(v, 0.25, 0.0625, stream, 100)[0],
+        "almost_orth": almost_orthogonal_check(v, 0.125)[0],
+        "lattice_dist": all(ref_mld(v[:, j], profile, 150, stream) <= rho * sqrt_n
+                            for j in range(l)),
+    }
+    want["annulus"] = ref_annulus(v, profile, 2.0 * params.r * sqrt_n, stream, 40,
+                                  150) > rho * sqrt_n
+    assert flags == want
+    assert ok == all(want.values())
+
+
+# 0.2.0 output of a round campaign on the rademacher profile.
+ROUND_REPORT_0_2_0 = """\
+name,measured,threshold,pass
+sup_norm,0.03893798892968192,0.05,True
+op_norm,0.11318988397212333,0.8215838362577493,True
+almost_orth,0.0195243840444137,0.25,True
+span_incomp,0.48640542529835945,0.03125,True
+lattice_dist,1.002496882788171,3.2863353450309964,True
+annulus,0.8318116033766154,0.8215838362577491,True
+image_norm,1260.7498007138452,6.0,False
+"""
+
+
+def test_round_campaign_report_bytes_match_0_2_0(tmp_path):
+    cfg = parse_campaign("kind = round\nid = r1\nseed = 7\nn = 30\nl = 2\ndelta = 0.05\n"
+                         "rho = 0.3\nvector_scale = 200\nprofile = rademacher\n")
+    assert run_campaign(cfg, out_dir=str(tmp_path)) == 0
+    with open(os.path.join(tmp_path, "r1.rounding_report.csv"), newline="") as fh:
+        assert fh.read() == ROUND_REPORT_0_2_0

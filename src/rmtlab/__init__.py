@@ -9,13 +9,13 @@ invertibility column selection, and reproducible Monte Carlo campaigns with
 exact oracles at toy scale.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import CampaignError, EstimationError, ResourceLimitError
 from .ensembles import (DistributionLaw, EntryProfile, atom_moments, discrete, gaussian,
                         paley_zygmund_floor, parse_law_spec, profile_from_rules,
-                        psi2_estimate, rademacher, sample_matrix, sample_symmetrized,
-                        sparse_bernoulli, uniform_scaled)
+                        psi2_estimate, rademacher, sample_matrix, sparse_bernoulli,
+                        uniform_scaled)
 from .linalg import (SingularSpectrum, complement_projector, default_rank_tol,
                      minmax_kth_smallest, norms, numerical_rank, read_matrix,
                      singular_spectrum, write_matrix)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EntryProfile, LatticePlan
+from .ensembles import EntryProfile
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -89,11 +89,11 @@ def expected_sq_dist_to_lattice(y: np.ndarray, laws, mc_trials: int,
     estimated with ``mc_trials`` Monte Carlo draws from the stream.
     """
     y = np.asarray(y, dtype=float)
-    laws = list(laws)
+    laws = tuple(laws)
     if y.size != len(laws):
         raise ValueError(f"vector length {y.size} does not match {len(laws)} laws")
-    groups = LatticePlan.column_groups(laws)
-    return float(_sq_dists(y.reshape(1, -1), [groups], mc_trials, stream)[0, 0])
+    column = EntryProfile(laws, np.arange(len(laws)).reshape(-1, 1), math.inf)
+    return float(_sq_dists(y.reshape(1, -1), column.lattice_plan.groups, mc_trials, stream)[0, 0])
 
 
 def _min_sq_dist(ys: np.ndarray, profile: EntryProfile, column_indices, mc_trials: int,

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .arithmetic import RLCDParams, rlcd_estimate
-from .ensembles import (EntryProfile, parse_law_spec, parse_profile_rules, profile_from_rules,
+from .ensembles import (EntryProfile, parse_law_spec, parse_rule_key, profile_from_rules,
                         sample_matrix)
 from .errors import CampaignError
 from .experiments import (ExperimentConfig, rank_tail_exact_rademacher, rank_tail_from_table,
@@ -75,7 +75,7 @@ class CampaignFile:
     experiment_id: str
     seed: int
     values: dict  # key -> (raw value, line number)
-    law_rules: list  # (line number, raw "law.<i>.<j>" key, raw value)
+    law_rules: list  # (line number, raw "law.<i>.<j>" key, raw value, (row, col) selectors)
 
     def get(self, key: str, default=None):
         if key in self.values:
@@ -97,12 +97,10 @@ def parse_campaign(text: str) -> CampaignFile:
         key = key.strip()
         value = value.strip()
         if key.startswith("law."):
-            parts = key.split(".")
-            if len(parts) != 3 or any(not (p == "*" or p.lstrip("-").isdigit())
-                                      for p in parts[1:]):
-                raise CampaignError(f"line {line_no}: law keys look like law.<i>.<j>, "
-                                    f"got {key!r}")
-            law_rules.append((line_no, key, value))
+            try:
+                law_rules.append((line_no, key, value, parse_rule_key(key)))
+            except ValueError as exc:
+                raise CampaignError(f"line {line_no}: {exc}")
             continue
         if key not in _SIMPLE_KEYS:
             raise CampaignError(f"line {line_no}: unknown key {key!r}")
@@ -144,7 +142,7 @@ def normalize_campaign(campaign: CampaignFile, seed: int) -> str:
         if key in ("kind", "id", "seed"):
             continue
         lines.append(f"{key} = {campaign.values[key][0]}")
-    for _, key, value in campaign.law_rules:
+    for _, key, value, _ in campaign.law_rules:
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -203,17 +201,21 @@ def _c_tol(campaign):
 
 def _build_profile(campaign, n_rows: int, n_cols: int) -> EntryProfile:
     k_cap = _c_float(campaign, "k_cap", 2.0)
-    lines = [(line_no, f"{key} = {value}") for line_no, key, value in campaign.law_rules]
-    base = campaign.get("profile")
-    if base is not None:
-        lines.insert(0, (campaign.values["profile"][1], f"law.*.* = {base}"))
-    if not lines:
+    specs = list(campaign.law_rules)
+    if "profile" in campaign.values:
+        value, line_no = campaign.values["profile"]
+        specs.insert(0, (line_no, "law.*.*", value, ("*", "*")))
+    if not specs:
         raise CampaignError(f"{campaign.kind} campaign needs a profile "
                             "(profile = <law> or law.<i>.<j> rules)")
     rules = []
-    for line_no, text in lines:
+    for line_no, _, value, (row, col) in specs:
+        for name, sel, size in (("row", row, n_rows), ("column", col, n_cols)):
+            if sel != "*" and not 0 <= sel < size:
+                raise CampaignError(f"line {line_no}: profile rule {name} {sel} "
+                                    f"out of range for {size} {name}s")
         try:
-            rules.extend(parse_profile_rules([text]))
+            rules.append((row, col, parse_law_spec(value)))
         except ValueError as exc:
             raise CampaignError(f"line {line_no}: {exc}")
     try:
@@ -264,6 +266,12 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
     ks = _c_grid(campaign, "k", int)
     method = campaign.get("method", "mc")
     if method == "exact":
+        lines = [line_no for line_no, *_ in campaign.law_rules]
+        if campaign.get("profile", "rademacher") != "rademacher":
+            lines.insert(0, campaign.values["profile"][1])
+        if lines:
+            raise CampaignError(f"line {lines[0]}: method = exact enumerates rademacher sign "
+                                "matrices and takes no other profile or law.<i>.<j> rule")
         exact = [float(rank_tail_exact_rademacher(n, k)) for k in ks]
         for k, p in zip(ks, exact):
             rows.append(_row(campaign.experiment_id, n, k, None, p, 0.0,
@@ -344,6 +352,10 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
         except ValueError:
             raise CampaignError(f"line {campaign.values['columns'][1]}: key 'columns' must be "
                                 f"a comma list of integers, got {columns!r}")
+        bad = [j for j in col_idx if not 0 <= j < n]
+        if bad:
+            raise CampaignError(f"line {campaign.values['columns'][1]}: column index {bad[0]} "
+                                f"out of range for n = {n}")
     trace: list = []
     est = rlcd_estimate(basis, profile, col_idx, params, stream,
                         n_directions=_c_int(campaign, "directions", 32), trace=trace)

@@ -2,8 +2,9 @@
 
 Every law here has mean 0 and variance 1, together with a declared
 subgaussian (psi2) norm.  A matrix ensemble is described by an
-:class:`EntryProfile`: an (n_rows, n_cols) grid of laws, all of whose
-declared psi2 norms sit below a user-supplied cap ``k_cap``.
+:class:`EntryProfile`: its distinct laws plus an (n_rows, n_cols) grid of
+integer codes into them, with every declared psi2 norm below a
+user-supplied cap ``k_cap``.
 
 All sampling goes through an explicit ``numpy.random.Generator``; equal
 generator states produce bit-identical output.
@@ -25,7 +26,6 @@ __all__ = [
     "EntryProfile",
     "LatticePlan",
     "LawGroup",
-    "SamplingPlan",
     "atom_moments",
     "rademacher",
     "gaussian",
@@ -34,8 +34,8 @@ __all__ = [
     "discrete",
     "parse_law_spec",
     "parse_profile_rules",
+    "parse_rule_key",
     "profile_from_rules",
-    "sample_symmetrized",
     "sample_matrix",
     "paley_zygmund_floor",
     "psi2_estimate",
@@ -263,86 +263,97 @@ def parse_law_spec(text: str) -> DistributionLaw:
     raise ValueError(f"unknown law spec {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntryProfile:
-    """Grid of entry laws for an (n_rows x n_cols) ensemble, with a psi2 cap."""
+    """Entry laws of an (n_rows x n_cols) ensemble, with a psi2 cap.
 
-    n_rows: int
-    n_cols: int
-    laws: tuple[tuple[DistributionLaw, ...], ...]
+    ``laws`` holds the distinct laws of the grid, merged by equality, in
+    row-major order of first appearance; ``codes`` is a read-only
+    (n_rows, n_cols) integer array whose entry (i, j) indexes the law of cell
+    (i, j) in ``laws``.  The constructor takes any laws/codes pair, drops laws
+    no cell uses, merges equal laws and renumbers the codes into that order,
+    so equal grids make equal (and equally hashed) profiles.
+    """
+
+    laws: tuple[DistributionLaw, ...]
+    codes: np.ndarray
     k_cap: float
 
     def __post_init__(self):
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("profile dimensions must be positive")
-        if len(self.laws) != self.n_rows or any(len(r) != self.n_cols for r in self.laws):
-            raise ValueError("law grid shape does not match (n_rows, n_cols)")
+        codes = np.asarray(self.codes)
+        if codes.ndim != 2 or codes.size == 0 or not np.issubdtype(codes.dtype, np.integer):
+            raise ValueError("codes must be a non-empty 2-d integer array")
+        if codes.min() < 0 or codes.max() >= len(self.laws):
+            raise ValueError(f"codes must lie in [0, {len(self.laws)}), the indices of laws")
         if self.k_cap <= 0:
             raise ValueError("k_cap must be positive")
-        worst = max(law.declared_psi2 for row in self.laws for law in row)
+        merged: dict[DistributionLaw, int] = {}
+        codes = np.array([merged.setdefault(law, len(merged)) for law in self.laws],
+                         dtype=np.intp)[codes]
+        used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        distinct = list(merged)
+        laws = tuple(distinct[c] for c in used[order])
+        worst = max(law.declared_psi2 for law in laws)
         if worst > self.k_cap + 1e-12:
             raise ValueError(f"a law declares psi2 {worst:.6g} above k_cap {self.k_cap:.6g}")
+        codes = np.argsort(order)[inverse].reshape(codes.shape)
+        codes.flags.writeable = False
+        object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "codes", codes)
 
     @classmethod
     def homogeneous(cls, n_rows: int, n_cols: int, law: DistributionLaw,
                     k_cap: float) -> "EntryProfile":
-        row = (law,) * n_cols
-        return cls(n_rows, n_cols, (row,) * n_rows, k_cap)
+        return cls((law,), np.zeros((n_rows, n_cols), dtype=np.intp), k_cap)
+
+    @property
+    def n_rows(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.codes.shape[1]
 
     def law(self, i: int, j: int) -> DistributionLaw:
-        return self.laws[i][j]
+        return self.laws[self.codes[i, j]]
 
     def column(self, j: int) -> tuple[DistributionLaw, ...]:
-        return tuple(row[j] for row in self.laws)
+        return tuple(self.laws[c] for c in self.codes[:, j].tolist())
 
     @property
     def is_homogeneous(self) -> bool:
-        return self.sampling_plan.homogeneous
+        return len(self.laws) == 1
+
+    def __eq__(self, other):
+        return (isinstance(other, EntryProfile) and self.k_cap == other.k_cap
+                and self.laws == other.laws and np.array_equal(self.codes, other.codes))
+
+    def __hash__(self):
+        return hash((self.laws, self.codes.shape, self.codes.tobytes(), self.k_cap))
 
     @cached_property
-    def sampling_plan(self) -> "SamplingPlan":
-        """Cells grouped by equal law, built on first use and kept on the profile."""
-        flat = [law for row in self.laws for law in row]
-        # Grids repeat a few law objects, so compare laws once per distinct object.
-        ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        groups: dict[DistributionLaw, int] = {}
-        code = np.empty(first.size, dtype=np.intp)
-        for obj in np.argsort(first):
-            code[obj] = groups.setdefault(flat[first[obj]], len(groups))
-        cell_code = code[inverse]
-        return SamplingPlan(len(groups) == 1,
-                            tuple((law, np.flatnonzero(cell_code == g))
-                                  for law, g in groups.items()),
-                            cell_code)
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """Flat row-major indices of the cells of each law, built on first use."""
+        flat = self.codes.ravel()
+        return tuple(np.flatnonzero(flat == c) for c in range(len(self.laws)))
 
     @cached_property
     def lattice_plan(self) -> "LatticePlan":
         """Distinct columns with their law groups, built on first use and kept on the profile."""
-        codes = self.sampling_plan.cell_code.reshape(self.n_rows, self.n_cols)
         distinct: dict[bytes, int] = {}
-        first_columns = []
-        column_of = np.empty(self.n_cols, dtype=np.intp)
-        for j in range(self.n_cols):
-            column_of[j] = distinct.setdefault(codes[:, j].tobytes(), len(distinct))
-            if column_of[j] == len(first_columns):
-                first_columns.append(j)
-        return LatticePlan(column_of, tuple(LatticePlan.column_groups(self.column(j))
-                                            for j in first_columns))
-
-
-@dataclass(frozen=True, eq=False)
-class SamplingPlan:
-    """How :func:`sample_matrix` draws a profile: one vectorized call per distinct law.
-
-    ``groups`` pairs each distinct law, in order of first appearance, with the
-    flat row-major indices of its cells; ``cell_code`` gives each flat
-    row-major cell the index of its group.
-    """
-
-    homogeneous: bool
-    groups: tuple[tuple[DistributionLaw, np.ndarray], ...]
-    cell_code: np.ndarray
+        column_of = np.array([distinct.setdefault(col.tobytes(), len(distinct))
+                              for col in self.codes.T], dtype=np.intp)
+        supports = [law.symmetrized_support() for law in self.laws]
+        groups = []
+        for j in np.unique(column_of, return_index=True)[1]:
+            col = self.codes[:, j]
+            used, first = np.unique(col, return_index=True)
+            groups.append(tuple(
+                LawGroup(self.laws[c], np.flatnonzero(col == c),
+                         *((None, None) if supports[c] is None else map(np.asarray, supports[c])))
+                for c in used[np.argsort(first)]))
+        return LatticePlan(column_of, tuple(groups))
 
 
 class LawGroup(NamedTuple):
@@ -374,18 +385,14 @@ class LatticePlan(NamedTuple):
     column_of: np.ndarray
     groups: tuple[tuple[LawGroup, ...], ...]
 
-    @staticmethod
-    def column_groups(laws) -> tuple[LawGroup, ...]:
-        """Law groups of one column given as a sequence of laws, one per row."""
-        rows: dict[DistributionLaw, list[int]] = {}
-        for i, law in enumerate(laws):
-            rows.setdefault(law, []).append(i)
-        out = []
-        for law, idx in rows.items():
-            support = law.symmetrized_support()
-            atoms, weights = (None, None) if support is None else map(np.asarray, support)
-            out.append(LawGroup(law, np.asarray(idx, dtype=np.intp), atoms, weights))
-        return tuple(out)
+
+def parse_rule_key(key: str) -> tuple[object, object]:
+    """(row, column) selectors of a ``law.<i>.<j>`` key: an int, or ``"*"`` for all."""
+    parts = key.strip().split(".")
+    if len(parts) != 3 or parts[0] != "law" or not all(
+            p == "*" or p.lstrip("-").isdigit() for p in parts[1:]):
+        raise ValueError(f"profile rule key must look like law.<i>.<j>, got {key.strip()!r}")
+    return tuple("*" if p == "*" else int(p) for p in parts[1:])
 
 
 def parse_profile_rules(lines) -> list[tuple[object, object, DistributionLaw]]:
@@ -398,40 +405,27 @@ def parse_profile_rules(lines) -> list[tuple[object, object, DistributionLaw]]:
     rules = []
     for line in lines:
         key, _, value = line.partition("=")
-        key = key.strip()
-        parts = key.split(".")
-        if len(parts) != 3 or parts[0] != "law":
-            raise ValueError(f"profile rule key must look like law.<i>.<j>, got {key!r}")
-        sel = []
-        for token in parts[1:]:
-            sel.append("*" if token == "*" else int(token))
-        rules.append((sel[0], sel[1], parse_law_spec(value)))
+        rules.append(parse_rule_key(key) + (parse_law_spec(value),))
     return rules
 
 
 def profile_from_rules(rules, n_rows: int, n_cols: int, k_cap: float) -> EntryProfile:
-    """Materialize a rule list into a dense law grid; every cell must be covered."""
-    grid: list[list[DistributionLaw | None]] = [[None] * n_cols for _ in range(n_rows)]
+    """Materialize a rule list into a profile; every cell must be covered."""
+    codes = np.full((n_rows, n_cols), -1, dtype=np.intp)
+    laws = []
     for row_sel, col_sel, law in rules:
-        rows = range(n_rows) if row_sel == "*" else [row_sel]
-        cols = range(n_cols) if col_sel == "*" else [col_sel]
-        for i in rows:
-            if not 0 <= i < n_rows:
-                raise ValueError(f"profile rule row {i} out of range for n_rows={n_rows}")
-            for j in cols:
-                if not 0 <= j < n_cols:
-                    raise ValueError(f"profile rule column {j} out of range for n_cols={n_cols}")
-                grid[i][j] = law
-    for i, row in enumerate(grid):
-        for j, law in enumerate(row):
-            if law is None:
-                raise ValueError(f"profile rule set leaves cell ({i},{j}) unassigned")
-    return EntryProfile(n_rows, n_cols, tuple(tuple(r) for r in grid), k_cap)
-
-
-def sample_symmetrized(law, stream: np.random.Generator) -> float:
-    """One draw of the symmetrization X - X' (any object with a sample method works)."""
-    return float(law.sample(stream) - law.sample(stream))
+        if row_sel != "*" and not 0 <= row_sel < n_rows:
+            raise ValueError(f"profile rule row {row_sel} out of range for n_rows={n_rows}")
+        if col_sel != "*" and not 0 <= col_sel < n_cols:
+            raise ValueError(f"profile rule column {col_sel} out of range for n_cols={n_cols}")
+        codes[slice(None) if row_sel == "*" else row_sel,
+              slice(None) if col_sel == "*" else col_sel] = len(laws)
+        laws.append(law)
+    unassigned = np.argwhere(codes < 0)
+    if unassigned.size:
+        i, j = unassigned[0]
+        raise ValueError(f"profile rule set leaves cell ({i},{j}) unassigned")
+    return EntryProfile(tuple(laws), codes, k_cap)
 
 
 def sample_matrix(profile: EntryProfile, stream: np.random.Generator,
@@ -439,21 +433,16 @@ def sample_matrix(profile: EntryProfile, stream: np.random.Generator,
     """Sample matrices with independent entries per the profile.
 
     With ``count`` None, returns one (n_rows x n_cols) matrix; with an integer
-    ``count``, a (count, n_rows, n_cols) stack.  Cells sharing a law are drawn
-    in one vectorized call of shape (count, cells), in row-major cell order, so
-    homogeneous profiles cost a single generator call and
-    ``sample_matrix(p, s, 1)[0]`` equals ``sample_matrix(p, s)`` bit for bit.
+    ``count``, a (count, n_rows, n_cols) stack.  Each law of ``profile.laws``
+    is drawn in turn in one vectorized call of shape (count, cells), in
+    row-major cell order, so ``sample_matrix(p, s, 1)[0]`` equals
+    ``sample_matrix(p, s)`` bit for bit.
     """
-    plan = profile.sampling_plan
     lead = () if count is None else (count,)
-    shape = lead + (profile.n_rows, profile.n_cols)
-    if plan.homogeneous:
-        return np.asarray(plan.groups[0][0].sample(stream, shape), dtype=float)
-    out = np.empty(shape)
-    flat = out.reshape(lead + (-1,))
-    for law, cells in plan.groups:
-        flat[..., cells] = law.sample(stream, lead + (cells.size,))
-    return out
+    out = np.empty(lead + (profile.codes.size,))
+    for law, cells in zip(profile.laws, profile.cells):
+        out[..., cells] = law.sample(stream, lead + (cells.size,))
+    return out.reshape(lead + profile.codes.shape)
 
 
 def paley_zygmund_floor(k_psi2: float) -> float:

@@ -56,7 +56,6 @@ __all__ = [
 TRIAL_BLOCK = 256
 
 TRIAL_DTYPE = np.dtype([
-    ("trial_index", np.int64),
     ("s_largest", np.float64),
     ("s_kth_smallest", np.float64),
     ("s_smallest", np.float64),
@@ -159,7 +158,6 @@ def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
         rows = out[start:start + svals.shape[0]]
         tol = (np.full(rows.size, config.tol) if config.tol is not None
                else n * np.finfo(float).eps * svals[:, 0])
-        rows["trial_index"] = np.arange(start, start + rows.size)
         rows["s_largest"] = svals[:, 0]
         rows["s_kth_smallest"] = svals[:, n - k] if k >= 1 else np.nan
         rows["s_smallest"] = svals[:, -1]
@@ -205,7 +203,7 @@ def rank_tail_mc(config: ExperimentConfig, n_threads: int = 1) -> tuple[float, f
 
 
 def singular_tail_mc(config: ExperimentConfig, comparison_c: float = 1.0,
-                     n_threads: int = 1, table: np.ndarray | None = None) -> np.ndarray:
+                     n_threads: int = 1) -> np.ndarray:
     """Tail estimates over the epsilon grid, with the comparison curve attached.
 
     Returns a structured array over config.epsilon_grid with fields
@@ -220,8 +218,7 @@ def singular_tail_mc(config: ExperimentConfig, comparison_c: float = 1.0,
         raise ValueError("singular-value tails need k >= 1")
     if not config.epsilon_grid:
         raise ValueError("config.epsilon_grid is empty")
-    if table is None:
-        table = run_trials(config, n_threads)
+    table = run_trials(config, n_threads)
     rows = np.empty(len(config.epsilon_grid), TAIL_DTYPE)
     for i, eps in enumerate(config.epsilon_grid):
         est, se = singular_tail_from_table(table, config.n, eps)

@@ -193,6 +193,20 @@ def test_exact_rank_tail_campaign(tmp_path):
     assert all(r[6] == "512" for r in rows)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("profile = gaussian\n", "line 6: method = exact enumerates rademacher"),
+    ("profile = rademacher\nlaw.0.0 = gaussian\n", "line 7: method = exact"),
+    ("law.*.* = rademacher\nprofile = uniform\n", "line 7: method = exact"),
+    ("law.*.* = rademacher\n", "line 6: method = exact"),
+])
+def test_exact_method_rejects_other_profiles(tmp_path, capsys, extra, message):
+    out = str(tmp_path / "out")
+    cfg = parse_campaign("kind = rank-tail\nseed = 1\nn = 3\nk = 1\nmethod = exact\n" + extra)
+    assert run_campaign(cfg, out_dir=out) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert read_results(out) == []
+
+
 def test_exact_method_refuses_large_n(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = parse_campaign("kind = rank-tail\nseed = 1\nn = 5\nk = 1\nmethod = exact\n")
@@ -260,6 +274,7 @@ RLCD_CFG = ("kind = rlcd\nseed = 2\nn = 3\nprofile = rademacher\n"
     ("basis = corner 1", "basis must be"),
     ("columns = 0,x", "comma list of integers"),
     ("columns = 0.5", "comma list of integers"),
+    ("columns = 0,7", "column index 7 out of range for n = 3"),
 ])
 def test_rlcd_campaign_rejects_bad_basis_and_columns(tmp_path, capsys, line, message):
     cfg = parse_campaign(RLCD_CFG + line + "\n")
@@ -277,6 +292,18 @@ def test_profile_rule_errors_name_their_line(tmp_path, capsys):
     cfg = parse_campaign("kind = sample\nseed = 1\nn = 2\nprofile = lognormal\n")
     assert run_campaign(cfg, out_dir=str(tmp_path / "b")) == 2
     assert "line 4: unknown law spec 'lognormal'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("law.5.0 = gaussian", "profile rule row 5 out of range for 3 rows"),
+    ("law.-1.0 = gaussian", "profile rule row -1 out of range for 3 rows"),
+    ("law.0.3 = gaussian", "profile rule column 3 out of range for 3 columns"),
+    ("law.*.-2 = gaussian", "profile rule column -2 out of range for 3 columns"),
+])
+def test_profile_rule_index_errors_name_their_line(tmp_path, capsys, rule, message):
+    cfg = parse_campaign(f"kind = sample\nseed = 1\nn = 3\nprofile = rademacher\n{rule}\n")
+    assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
+    assert f"line 5: {message}" in capsys.readouterr().err
 
 
 def test_round_campaign_writes_report(tmp_path):

@@ -20,7 +20,6 @@ from rmtlab.ensembles import (
     psi2_estimate,
     rademacher,
     sample_matrix,
-    sample_symmetrized,
     sparse_bernoulli,
     uniform_scaled,
 )
@@ -184,11 +183,6 @@ def test_discrete_standardization_property(atoms):
 # --- symmetrization ---
 
 
-def test_sample_symmetrized_degenerate_stub(rng):
-    stub = ConstantZero()
-    assert all(sample_symmetrized(stub, rng) == 0.0 for _ in range(20))
-
-
 def test_rademacher_symmetrized_support():
     atoms, weights = rademacher().symmetrized_support()
     table = dict(zip(atoms, weights))
@@ -200,14 +194,14 @@ def test_rademacher_symmetrized_support():
 
 def test_symmetrized_draws_match_support(rng):
     law = rademacher()
-    draws = np.array([sample_symmetrized(law, rng) for _ in range(40_000)])
+    draws = law.sample_symmetrized(rng, 40_000)
     assert set(np.unique(draws)) <= {-2.0, 0.0, 2.0}
     assert abs(np.mean(draws == 0.0) - 0.5) < 0.01
     assert abs(draws.var() - 2.0) < 0.05
 
 
 def test_symmetrized_variance_is_doubled(rng):
-    draws = np.array([sample_symmetrized(uniform_scaled(), rng) for _ in range(50_000)])
+    draws = uniform_scaled().sample_symmetrized(rng, 50_000)
     assert abs(draws.mean()) < 0.03
     assert abs(draws.var() - 2.0) < 0.06
 
@@ -260,6 +254,42 @@ def test_profile_rules_with_wildcards():
     assert not prof.is_homogeneous
 
 
+def test_profile_constructor_merges_and_renumbers_laws():
+    codes = np.array([[2, 0, 2], [1, 3, 0]])
+    prof = EntryProfile((gaussian(), rademacher(), sparse_bernoulli(0.5), gaussian()), codes, 2.5)
+    assert [law.kind for law in prof.laws] == ["sparse-bernoulli", "gaussian", "rademacher"]
+    assert prof.codes.tolist() == [[0, 1, 0], [2, 1, 1]]
+    assert (prof.n_rows, prof.n_cols) == (2, 3)
+    assert prof.column(1) == (gaussian(), gaussian())
+    with pytest.raises(ValueError):
+        prof.codes[0, 0] = 1
+    assert codes[0, 0] == 2  # the caller's array is left alone
+
+
+@pytest.mark.parametrize("codes, message", [
+    (np.zeros(3, dtype=int), "non-empty 2-d integer"),
+    (np.zeros((2, 2)), "non-empty 2-d integer"),
+    (np.zeros((2, 2), dtype=bool), "non-empty 2-d integer"),
+    (np.zeros((0, 2), dtype=int), "non-empty 2-d integer"),
+    (np.array([[0, 2], [1, 0]]), "codes must lie in \\[0, 2\\)"),
+    (np.array([[0, -1], [1, 0]]), "codes must lie in \\[0, 2\\)"),
+])
+def test_profile_constructor_rejects_bad_codes(codes, message):
+    with pytest.raises(ValueError, match=message):
+        EntryProfile((rademacher(), gaussian()), codes, 2.0)
+
+
+def test_profile_equality_ignores_overwritten_rules():
+    rules = parse_profile_rules(["law.*.* = gaussian", "law.0.* = uniform",
+                                 "law.*.* = rademacher"])
+    prof = profile_from_rules(rules, 3, 4, k_cap=2.0)
+    same = EntryProfile.homogeneous(3, 4, rademacher(), 2.0)
+    assert prof == same and hash(prof) == hash(same)
+    assert prof.is_homogeneous and prof.laws == (rademacher(),)
+    assert prof != EntryProfile.homogeneous(4, 3, rademacher(), 2.0)
+    assert prof != EntryProfile.homogeneous(3, 4, rademacher(), 2.5)
+
+
 def test_profile_rules_reject_gaps_and_bad_indices():
     rules = parse_profile_rules(["law.0.0 = rademacher"])
     with pytest.raises(ValueError):
@@ -307,9 +337,9 @@ def _sample_matrix_per_cell(profile, stream):
     """Reference: group cells by law in row-major order and place draws one by one."""
     out = np.empty((profile.n_rows, profile.n_cols))
     groups = {}
-    for i, row in enumerate(profile.laws):
-        for j, law in enumerate(row):
-            groups.setdefault(law, []).append((i, j))
+    for i in range(profile.n_rows):
+        for j in range(profile.n_cols):
+            groups.setdefault(profile.law(i, j), []).append((i, j))
     for law, cells in groups.items():
         for (i, j), v in zip(cells, law.sample(stream, len(cells))):
             out[i, j] = v
@@ -326,7 +356,7 @@ def _mixed_profile(n_rows=5, n_cols=7):
 def test_sample_matrix_mixed_matches_per_cell_reference():
     prof = _mixed_profile()
     assert not prof.is_homogeneous
-    assert [law.kind for law, _ in prof.sampling_plan.groups] == [
+    assert [law.kind for law in prof.laws] == [
         "rademacher", "gaussian", "sparse-bernoulli", "uniform"]
     a = sample_matrix(prof, np.random.default_rng(3))
     np.testing.assert_array_equal(a, _sample_matrix_per_cell(prof, np.random.default_rng(3)))

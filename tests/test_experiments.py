@@ -108,7 +108,6 @@ def test_run_trials_deterministic_across_partitioning():
 def test_run_trials_table_contents():
     cfg = _config(5, 2, trials=64, master_seed=9)
     table = run_trials(cfg)
-    np.testing.assert_array_equal(table["trial_index"], np.arange(64))
     assert np.all(table["s_largest"] >= table["s_kth_smallest"])
     assert np.all(table["s_kth_smallest"] >= table["s_smallest"])
     assert np.all(table["s_smallest"] >= 0.0)

@@ -116,9 +116,8 @@ def _mixed_finite(n):
 
 def _checkerboard(n):
     """Two distinct columns, each alternating two laws down its rows."""
-    laws = (rademacher(), sparse_bernoulli(0.5))
-    grid = tuple(tuple(laws[(i + j) % 2] for j in range(n)) for i in range(n))
-    return EntryProfile(n, n, grid, 3.0)
+    return EntryProfile((rademacher(), sparse_bernoulli(0.5)),
+                        np.add.outer(np.arange(n), np.arange(n)) % 2, 3.0)
 
 
 def _gaussian_column(n):

@@ -2,9 +2,11 @@
 Rank deficiency of random sign matrices
 =======================================
 
-How often does an n x n matrix of independent signs drop rank?  Small
-sizes admit exact answers by enumerating all 2^(n^2) matrices; Monte Carlo
-with one seed stream per trial scales the question up and stays exactly
+How often does an n x n matrix of independent signs drop rank?  Up to
+n = 6 there are exact answers: the rank histogram of all 2^(n^2) matrices
+is counted over symmetry classes (sign flips of rows and columns, row
+permutations), about 3.8 * 10^5 of them at n = 6.  Monte Carlo, with one
+seeded stream per block of trials, scales the question up and stays exactly
 reproducible.
 """
 
@@ -25,8 +27,8 @@ def config(n, k, trials, seed):
         return ExperimentConfig(prof, n, k, trials=trials, master_seed=seed)
 
 
-print("exact rank-drop probabilities (all sign matrices enumerated):")
-for n, k in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+print("exact rank-drop probabilities (from the rank histogram):")
+for n, k in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)):
     p = rank_tail_exact_rademacher(n, k)
     print(f"  P(rank({n}x{n}) <= {n - k}) = {p} = {float(p):.6f}")
 

@@ -40,10 +40,10 @@ import numpy as np
 
 from . import __version__
 from .arithmetic import RLCDParams, rlcd_estimate
-from .ensembles import (EntryProfile, parse_law_spec, parse_rule_key, profile_from_rules,
-                        sample_matrix)
+from .ensembles import (EntryProfile, check_psi2_cap, parse_law_spec, parse_rule_key,
+                        profile_from_rules, sample_matrix)
 from .errors import CampaignError
-from .experiments import (ExperimentConfig, rank_tail_exact_rademacher, rank_tail_from_table,
+from .experiments import (ExperimentConfig, rank_histogram_rademacher, rank_tail_from_table,
                           run_trials, singular_tail_mc, norm_concentration_mc,
                           tensorization_check)
 from .linalg import read_matrix, singular_spectrum, write_matrix
@@ -201,6 +201,9 @@ def _c_tol(campaign):
 
 def _build_profile(campaign, n_rows: int, n_cols: int) -> EntryProfile:
     k_cap = _c_float(campaign, "k_cap", 2.0)
+    if not k_cap > 0.0:
+        raise CampaignError(f"line {campaign.values['k_cap'][1]}: k_cap must be positive, "
+                            f"got {k_cap!r}")
     specs = list(campaign.law_rules)
     if "profile" in campaign.values:
         value, line_no = campaign.values["profile"]
@@ -215,9 +218,11 @@ def _build_profile(campaign, n_rows: int, n_cols: int) -> EntryProfile:
                 raise CampaignError(f"line {line_no}: profile rule {name} {sel} "
                                     f"out of range for {size} {name}s")
         try:
-            rules.append((row, col, parse_law_spec(value)))
+            law = parse_law_spec(value)
+            check_psi2_cap(law, k_cap)
         except ValueError as exc:
             raise CampaignError(f"line {line_no}: {exc}")
+        rules.append((row, col, law))
     try:
         return profile_from_rules(rules, n_rows, n_cols, k_cap)
     except ValueError as exc:
@@ -264,6 +269,10 @@ def _run_sample(campaign, out_dir, stream, rows, n_threads):
 def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
     n = _c_int(campaign, "n")
     ks = _c_grid(campaign, "k", int)
+    bad = [k for k in ks if not 0 <= k <= n]
+    if bad:
+        raise CampaignError(f"line {campaign.values['k'][1]}: k = {bad[0]} lies outside "
+                            f"[0, {n}]")
     method = campaign.get("method", "mc")
     if method == "exact":
         lines = [line_no for line_no, *_ in campaign.law_rules]
@@ -272,7 +281,12 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
         if lines:
             raise CampaignError(f"line {lines[0]}: method = exact enumerates rademacher sign "
                                 "matrices and takes no other profile or law.<i>.<j> rule")
-        exact = [float(rank_tail_exact_rademacher(n, k)) for k in ks]
+        for key in ("trials", "tol", "gamma"):
+            if key in campaign.values:
+                raise CampaignError(f"line {campaign.values[key][1]}: method = exact takes "
+                                    f"no {key} key")
+        hist = rank_histogram_rademacher(n)
+        exact = [sum(hist[:n - k + 1]) / 2 ** (n * n) for k in ks]
         for k, p in zip(ks, exact):
             rows.append(_row(campaign.experiment_id, n, k, None, p, 0.0,
                              2 ** (n * n), campaign.seed))
@@ -280,7 +294,8 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
                    ks, exact)
         return
     if method != "mc":
-        raise CampaignError(f"method must be mc or exact, got {method!r}")
+        raise CampaignError(f"line {campaign.values['method'][1]}: method must be mc or "
+                            f"exact, got {method!r}")
     trials = _c_int(campaign, "trials")
     profile = _build_profile(campaign, n, n)
     config = ExperimentConfig(profile, n, max(ks), epsilon_grid=(),

@@ -32,6 +32,7 @@ __all__ = [
     "uniform_scaled",
     "sparse_bernoulli",
     "discrete",
+    "check_psi2_cap",
     "parse_law_spec",
     "parse_profile_rules",
     "parse_rule_key",
@@ -239,6 +240,13 @@ _NAMED_LAWS = {
 }
 
 
+def check_psi2_cap(law: DistributionLaw, k_cap: float) -> None:
+    """Raise ValueError when ``law`` declares a psi2 above ``k_cap`` (1e-12 allowance)."""
+    if law.declared_psi2 > k_cap + 1e-12:
+        raise ValueError(f"{law.spec_string()} declares psi2 {law.declared_psi2:.6g} "
+                         f"above k_cap {k_cap:.6g}")
+
+
 def parse_law_spec(text: str) -> DistributionLaw:
     """Parse a law spec string.
 
@@ -294,9 +302,8 @@ class EntryProfile:
         order = np.argsort(first)
         distinct = list(merged)
         laws = tuple(distinct[c] for c in used[order])
-        worst = max(law.declared_psi2 for law in laws)
-        if worst > self.k_cap + 1e-12:
-            raise ValueError(f"a law declares psi2 {worst:.6g} above k_cap {self.k_cap:.6g}")
+        for law in laws:
+            check_psi2_cap(law, self.k_cap)
         codes = np.argsort(order)[inverse].reshape(codes.shape)
         codes.flags.writeable = False
         object.__setattr__(self, "laws", laws)

@@ -10,8 +10,10 @@ All tail estimates are computed from trial tables, so different thresholds
 (k values, epsilon values) share the same samples and the nesting of the
 underlying events holds exactly in the estimates, not just in expectation.
 
-Exact oracles at toy scale (sign-matrix enumeration with integer rank,
-closed-form tensorization) anchor the Monte Carlo machinery.
+Exact oracles anchor the Monte Carlo machinery: the rank histogram of all
+n x n sign matrices for n <= 6 (symmetry classes, one batched SVD per chunk
+of them, a cutoff that provably separates zero singular values) and
+closed-form tensorization.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "trial_matrix",
     "rank_tail_from_table",
     "singular_tail_from_table",
+    "rank_histogram_rademacher",
     "rank_tail_exact_rademacher",
     "rank_tail_mc",
     "singular_tail_mc",
@@ -54,6 +57,9 @@ __all__ = [
 
 #: Trials per block: the unit of random stream, vectorized draw and batched SVD.
 TRIAL_BLOCK = 256
+
+#: Symmetry classes per batched SVD in :func:`rank_histogram_rademacher`.
+EXACT_CHUNK = 16_384
 
 TRIAL_DTYPE = np.dtype([
     ("s_largest", np.float64),
@@ -227,45 +233,44 @@ def singular_tail_mc(config: ExperimentConfig, comparison_c: float = 1.0,
     return rows
 
 
-def _exact_rank(mat: list) -> int:
-    """Exact rank of a small integer matrix by fraction elimination."""
-    m = [[Fraction(v) for v in row] for row in mat]
-    n_rows = len(m)
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            if m[r][col]:
-                scale = m[r][col] / lead
-                m[r] = [a - scale * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def rank_histogram_rademacher(n: int) -> tuple[int, ...]:
+    """Entry r is the number of n x n sign matrices of rank r, for 1 <= n <= 6.
+
+    Negating rows or columns and permuting rows keep the rank, so only
+    matrices with first row and column +1 are visited, each standing for
+    2^(2n-1) sign matrices; rows 2..n run over multisets of the 2^(n-1) row
+    patterns, weighted by their multinomial counts.  The rank counts the
+    batched-SVD singular values above n^(1-n)/2, and that is exact:
+
+    - by Cauchy-Binet, the product of the nonzero sigma_i^2 of an integer
+      matrix is the sum of its squared r x r minors, a positive integer;
+    - with sigma_1 <= |A|_F = n, that gives sigma_r >= n^(1-r) >= n^(1-n),
+      which is 1.3e-4 at n = 6;
+    - LAPACK's error is about n eps sigma_1 ~ 1e-14, so the cutoff parts zero
+      from nonzero singular values with about ten orders of magnitude to spare.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > 6:
+        raise ResourceLimitError(f"rank histogram of {n} x {n} sign matrices is infeasible")
+    patterns = 1.0 - 2.0 * ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    factorials = np.array([math.factorial(m) for m in range(n)])
+    classes = itertools.combinations_with_replacement(range(patterns.shape[0]), n - 1)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    while chunk := list(itertools.islice(classes, EXACT_CHUNK)):
+        rows = np.array(chunk, dtype=np.intp).reshape(len(chunk), n - 1)
+        mats = np.concatenate([np.ones((len(chunk), 1, n)), patterns[rows]], axis=1)
+        ranks = np.sum(np.linalg.svd(mats, compute_uv=False) > n ** (1.0 - n) / 2, axis=1)
+        repeats = np.sum(rows[:, :, None] == np.arange(patterns.shape[0]), axis=1)
+        np.add.at(hist, ranks, factorials[n - 1] // np.prod(factorials[repeats], axis=1))
+    return tuple(int(c) << (2 * n - 1) for c in hist)
 
 
 def rank_tail_exact_rademacher(n: int, k: int) -> Fraction:
-    """Exact P(rank <= n - k) for the n x n sign ensemble, by full enumeration.
-
-    Walks all 2^(n^2) sign matrices and computes exact integer rank, so the
-    answer is a rational number.  Refuses n > 4.
-    """
-    if n > 4:
-        raise ResourceLimitError(f"enumeration of 2^({n}^2) sign matrices is infeasible")
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError("need n >= 1 and 0 <= k <= n")
-    total = 2 ** (n * n)
-    hits = 0
-    for bits in itertools.product((1, -1), repeat=n * n):
-        mat = [bits[i * n:(i + 1) * n] for i in range(n)]
-        if _exact_rank(mat) <= n - k:
-            hits += 1
-    return Fraction(hits, total)
+    """Exact P(rank <= n - k) for the n x n sign ensemble, read off the rank histogram."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n = {n}, k = {k}")
+    return Fraction(sum(rank_histogram_rademacher(n)[:n - k + 1]), 2 ** (n * n))
 
 
 def tensorization_check(n: int, t: float, trials: int = 100_000,

@@ -233,8 +233,9 @@ def test_criterion_11_shared_seed_monotonicity():
 def test_criterion_12_tail_scaling_slope():
     t0 = time.perf_counter()
     points = []
+    stderrs = {}
     for n in (6, 8, 10):
-        est, _ = rank_tail_mc(_mc_config(n, 1, 1_000_000, seed=112), n_threads=2)
+        est, stderrs[n] = rank_tail_mc(_mc_config(n, 1, 1_000_000, seed=112), n_threads=2)
         points.append((n, 1, est))
     c_hat, _ = scaling_fit(points)
     elapsed = time.perf_counter() - t0
@@ -242,6 +243,8 @@ def test_criterion_12_tail_scaling_slope():
     _verdict(12, "fitted tail-decay slope is positive (recorded, not calibrated)",
              c_hat > 0.0 and elapsed < 900.0,
              f"c_hat {c_hat:.4f}; {probs}; {elapsed:.0f}s")
+    exact = float(rank_tail_exact_rademacher(6, 1))
+    assert abs(points[0][2] - exact) <= 4 * stderrs[6], (points[0][2], stderrs[6], exact)
 
 
 def test_criterion_13_manifest_determinism(tmp_path):

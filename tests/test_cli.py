@@ -198,6 +198,13 @@ def test_exact_rank_tail_campaign(tmp_path):
     ("profile = rademacher\nlaw.0.0 = gaussian\n", "line 7: method = exact"),
     ("law.*.* = rademacher\nprofile = uniform\n", "line 7: method = exact"),
     ("law.*.* = rademacher\n", "line 6: method = exact"),
+    ("trials = 5\n", "line 6: method = exact takes no trials key"),
+    ("tol = 0.5\n", "line 6: method = exact takes no tol key"),
+    ("gamma = 0.3\n", "line 6: method = exact takes no gamma key"),
+    ("k = 4\n", "line 6: k = 4 lies outside \\[0, 3\\]"),
+    ("k = -1,1\n", "line 6: k = -1 lies outside \\[0, 3\\]"),
+    ("method = exhaustive\n", "line 6: method must be mc or exact, got 'exhaustive'"),
+    ("method = mc\nk = 4\n", "line 7: k = 4 lies outside \\[0, 3\\]"),
 ])
 def test_exact_method_rejects_other_profiles(tmp_path, capsys, extra, message):
     out = str(tmp_path / "out")
@@ -209,7 +216,7 @@ def test_exact_method_rejects_other_profiles(tmp_path, capsys, extra, message):
 
 def test_exact_method_refuses_large_n(tmp_path, capsys):
     out = str(tmp_path / "out")
-    cfg = parse_campaign("kind = rank-tail\nseed = 1\nn = 5\nk = 1\nmethod = exact\n")
+    cfg = parse_campaign("kind = rank-tail\nseed = 1\nn = 7\nk = 1\nmethod = exact\n")
     assert run_campaign(cfg, out_dir=out) == 2
     assert "rmtlab:" in capsys.readouterr().err
     # partial flush: header-only results plus the manifest survive the failure
@@ -304,6 +311,20 @@ def test_profile_rule_index_errors_name_their_line(tmp_path, capsys, rule, messa
     cfg = parse_campaign(f"kind = sample\nseed = 1\nn = 3\nprofile = rademacher\n{rule}\n")
     assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
     assert f"line 5: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("k_cap = 1.3\nlaw.0.* = sparse-bernoulli(0.1)\n",
+     "line 6: sparse-bernoulli(0.1) declares psi2 2.04214 above k_cap 1.3"),
+    ("k_cap = 1.3\nlaw.0.* = sparse-bernoulli(0.1)\nlaw.0.* = rademacher\n",
+     "line 6: sparse-bernoulli(0.1) declares psi2 2.04214 above k_cap 1.3"),
+    ("k_cap = -1\n", "line 5: k_cap must be positive, got -1.0"),
+    ("k_cap = nan\n", "line 5: k_cap must be positive, got nan"),
+])
+def test_k_cap_errors_name_their_line(tmp_path, capsys, lines, message):
+    cfg = parse_campaign("kind = sample\nseed = 1\nn = 3\nprofile = rademacher\n" + lines)
+    assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_round_campaign_writes_report(tmp_path):

@@ -11,7 +11,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("demo", ["01_entry_laws.py", "02_sphere_decomposition.py",
                                   "03_lattice_arithmetic.py", "04_randomized_rounding.py",
-                                  "05_restricted_invertibility.py",
+                                  "05_restricted_invertibility.py", "06_rank_tails.py",
                                   "07_singular_value_tails.py", "08_campaign_files.py"])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)

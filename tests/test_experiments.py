@@ -19,6 +19,7 @@ from rmtlab.experiments import (
     kernel_rlcd_probe,
     kernel_tuple_event_check,
     norm_concentration_mc,
+    rank_histogram_rademacher,
     rank_tail_exact_rademacher,
     rank_tail_from_table,
     rank_tail_mc,
@@ -147,7 +148,7 @@ def test_exact_rank_tail_frozen_values():
     assert rank_tail_exact_rademacher(1, 0) == Fraction(1)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_exact_rank_tail_matches_float_enumeration(n):
     for k in range(0, n + 1):
         exact = rank_tail_exact_rademacher(n, k)
@@ -156,11 +157,49 @@ def test_exact_rank_tail_matches_float_enumeration(n):
 
 def test_exact_rank_tail_limits():
     with pytest.raises(ResourceLimitError):
-        rank_tail_exact_rademacher(5, 1)
+        rank_tail_exact_rademacher(7, 1)
     with pytest.raises(ValueError):
         rank_tail_exact_rademacher(3, 4)
     with pytest.raises(ValueError):
         rank_tail_exact_rademacher(0, 0)
+
+
+# singular n x n sign matrices for n = 1..6 (OEIS A046747)
+A046747 = (0, 8, 320, 43264, 22003712, 43090149376)
+
+
+@pytest.fixture(scope="module")
+def sign_rank_histograms():
+    return {n: rank_histogram_rademacher(n) for n in range(1, 7)}
+
+
+def test_rank_histogram_counts_every_sign_matrix(sign_rank_histograms):
+    for n, hist in sign_rank_histograms.items():
+        assert len(hist) == n + 1 and all(type(c) is int for c in hist)
+        assert sum(hist) == 2 ** (n * n)
+        assert sum(hist[:n]) == A046747[n - 1]
+    with pytest.raises(ResourceLimitError):
+        rank_histogram_rademacher(7)
+    with pytest.raises(ValueError):
+        rank_histogram_rademacher(0)
+
+
+def test_rank_histogram_n6_tails_match_gf251_elimination(sign_rank_histograms):
+    # values from an independent batched Gaussian elimination over GF(251)
+    want = [Fraction(1315007, 2097152), Fraction(409939, 4194304), Fraction(59881, 16777216),
+            Fraction(481, 16777216), Fraction(1, 2 ** 25)]
+    hist = sign_rank_histograms[6]
+    assert [Fraction(sum(hist[:7 - k]), 2 ** 36) for k in range(1, 6)] == want
+
+
+@pytest.mark.parametrize("n, seed", [(5, 51), (6, 61)])
+def test_rank_tail_mc_matches_exact_histogram(sign_rank_histograms, n, seed):
+    table = run_trials(_config(n, 1, trials=200_000, master_seed=seed), n_threads=2)
+    hist = sign_rank_histograms[n]
+    for k in (1, 2, 3):
+        est, se = rank_tail_from_table(table, n, k)
+        exact = sum(hist[:n - k + 1]) / 2 ** (n * n)
+        assert abs(est - exact) <= 4 * se, (k, est, se, exact)
 
 
 # --- Monte Carlo tails ---

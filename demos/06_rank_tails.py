@@ -10,8 +10,6 @@ seeded stream per block of trials, scales the question up and stays exactly
 reproducible.
 """
 
-import warnings
-
 import numpy as np
 
 from rmtlab.ensembles import EntryProfile, rademacher
@@ -22,9 +20,7 @@ from rmtlab.experiments import (ExperimentConfig, rank_tail_exact_rademacher,
 
 def config(n, k, trials, seed):
     prof = EntryProfile.homogeneous(n, n, rademacher(), 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ExperimentConfig(prof, n, k, trials=trials, master_seed=seed)
+    return ExperimentConfig(prof, n, k, trials=trials, master_seed=seed)
 
 
 print("exact rank-drop probabilities (from the rank histogram):")

@@ -15,12 +15,13 @@ from rmtlab.experiments import (ExperimentConfig, norm_concentration_mc,
                                 singular_tail_mc, tensorization_check)
 
 prof = EntryProfile.homogeneous(8, 8, rademacher(), 2.0)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    cfg = ExperimentConfig(prof, 8, 2, epsilon_grid=(0.0, 0.1, 0.3, 1.0),
-                           trials=20_000, master_seed=5)
+cfg = ExperimentConfig(prof, 8, 2, epsilon_grid=(0.0, 0.1, 0.3, 1.0),
+                       trials=20_000, master_seed=5)
 
-rows = singular_tail_mc(cfg, comparison_c=1.0)
+with warnings.catch_warnings():
+    # k = 2 sits just below log(8) = 2.08, where singular_tail_mc warns
+    warnings.simplefilter("ignore")
+    rows = singular_tail_mc(cfg, comparison_c=1.0)
 print("epsilon   P(s_{n-k+1} <= eps/sqrt(n))   comparison")
 for row in rows:
     print(f"{row['epsilon']:7.2f}   {row['estimate']:12.4f} +/- {row['stderr']:.4f}"

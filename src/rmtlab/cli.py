@@ -6,11 +6,24 @@ except ``law.<i>.<j>`` rules, which accumulate in order (``*`` selects a
 whole row or column; ``profile = <law>`` is shorthand for ``law.*.* =
 <law>`` applied first).  Law specs: ``rademacher``, ``gaussian``,
 ``uniform``, ``sparse-bernoulli(p)``, ``discrete(a1:w1,a2:w2,...)``.
-Unknown keys are rejected with their line number.  The ``id`` names output
-files, so it may use only ``[A-Za-z0-9._-]`` and may not contain ``..``.
-Every campaign needs ``kind`` and ``seed``; list-valued keys (``k``,
-``epsilon``, ``t``, ``n`` for norm sweeps) take comma-separated ascending
-values.
+The ``id`` names output files, so it may use only ``[A-Za-z0-9._-]`` and
+may not contain ``..``.  Every campaign needs ``kind`` and ``seed``;
+list-valued keys (``k``, ``epsilon``, ``t``, ``n`` for norm sweeps) take
+comma-separated ascending values.  Besides ``kind``, ``id`` and ``seed``,
+each kind takes only the keys it reads (``law`` for ``law.<i>.<j>`` rules,
+P for ``k_cap, profile, law``); any other key or rule fails with its line:
+
+- sample: n, P; with rows: rows, cols, P
+- rank-tail: n, k, method, trials, tol, P; with method = exact: n, k,
+  method, profile (rademacher only)
+- singular-tail: n, k, epsilon, trials, gamma, tol, comparison_c, P
+- rlcd: n, L, alpha, radius_cap, resolution, mc_trials, basis, columns,
+  directions, P
+- round: n, l, delta, rho, tau, r, c_op, mc_trials, vector_scale, P; with
+  vectors_file: n, vectors_file, delta, rho, tau, r, c_op, mc_trials, P
+- ri-select: rows, cols, l, mode, P; with matrix_file: matrix_file, l, mode
+- tensorize: n, t, trials
+- norms: n, trials, c_op, c_hs, profile (one law)
 
 Each run writes into the output directory:
 
@@ -55,16 +68,30 @@ RESULTS_HEADER = "experiment_id,n,k,epsilon,estimate,stderr,trials,master_seed"
 # Ids name output files and fill the first results.csv field.
 _ID_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
 
-_KINDS = ("sample", "rank-tail", "singular-tail", "rlcd", "round",
-          "ri-select", "tensorize", "norms")
-
-_SIMPLE_KEYS = {
-    "kind", "id", "seed", "k_cap", "profile", "n", "rows", "cols",
-    "k", "epsilon", "gamma", "trials", "tol", "method", "L", "alpha",
-    "radius_cap", "resolution", "mc_trials", "basis", "columns", "directions",
-    "l", "delta", "rho", "tau", "r", "c_op", "c_hs", "comparison_c", "t",
-    "mode", "matrix_file", "vectors_file", "vector_scale",
+# The keys each campaign kind reads besides kind, id and seed; "law" stands for
+# law.<i>.<j> rules.  Where a runner branches on a key, each branch has its own
+# row: (kind, "key") applies when the campaign sets key, (kind, "key = value")
+# when it sets key to value, and (kind, "") otherwise.  Any other key is refused.
+_KIND_KEYS = {
+    ("sample", ""): "n k_cap profile law",
+    ("sample", "rows"): "rows cols k_cap profile law",
+    ("rank-tail", ""): "n k method trials tol k_cap profile law",
+    ("rank-tail", "method = exact"): "n k method profile",
+    ("singular-tail", ""): "n k epsilon trials gamma tol comparison_c k_cap profile law",
+    ("rlcd", ""): "n L alpha radius_cap resolution mc_trials basis columns directions "
+                  "k_cap profile law",
+    ("round", ""): "n l delta rho tau r c_op mc_trials vector_scale k_cap profile law",
+    ("round", "vectors_file"): "n vectors_file delta rho tau r c_op mc_trials k_cap profile law",
+    ("ri-select", ""): "rows cols l mode k_cap profile law",
+    ("ri-select", "matrix_file"): "matrix_file l mode",
+    ("tensorize", ""): "n t trials",
+    ("norms", ""): "n trials c_op c_hs profile",
 }
+_KINDS = tuple(dict.fromkeys(kind for kind, _ in _KIND_KEYS))
+_BRANCHES = {kind: branch for kind, branch in _KIND_KEYS if branch}
+_ROW_KEYS = {row: frozenset(keys.split()) | {"kind", "id", "seed"}
+             for row, keys in _KIND_KEYS.items()}
+_KNOWN_KEYS = frozenset().union(*_ROW_KEYS.values()) - {"law"}
 
 
 @dataclass
@@ -102,7 +129,7 @@ def parse_campaign(text: str) -> CampaignFile:
             except ValueError as exc:
                 raise CampaignError(f"line {line_no}: {exc}")
             continue
-        if key not in _SIMPLE_KEYS:
+        if key not in _KNOWN_KEYS:
             raise CampaignError(f"line {line_no}: unknown key {key!r}")
         if not value:
             raise CampaignError(f"line {line_no}: key {key!r} has no value")
@@ -114,6 +141,19 @@ def parse_campaign(text: str) -> CampaignFile:
     if kind not in _KINDS:
         raise CampaignError(f"line {values['kind'][1]}: unknown kind {kind!r} "
                             f"(expected one of {', '.join(_KINDS)})")
+    branch = _BRANCHES.get(kind, "")
+    selector, _, want = branch.partition(" = ")
+    taken = selector in values and want in ("", values[selector][0])
+    allowed = _ROW_KEYS[kind, branch if taken else ""]
+    refused = [(line_no, f"{key} key") for key, (_, line_no) in values.items()
+               if key not in allowed]
+    if "law" not in allowed:
+        refused += [(line_no, "law.<i>.<j> rule") for line_no, *_ in law_rules]
+    if refused:
+        line_no, what = min(refused)
+        label = (branch if taken and want else f"kind = {kind}"
+                 + (f" {'with' if taken else 'without'} {branch}" if branch and not want else ""))
+        raise CampaignError(f"line {line_no}: {label} takes no {what}")
     if "seed" not in values:
         raise CampaignError("campaign is missing the seed key")
     seed_raw, seed_line = values["seed"]
@@ -138,39 +178,24 @@ def normalize_campaign(campaign: CampaignFile, seed: int) -> str:
              f"kind = {campaign.kind}",
              f"id = {campaign.experiment_id}",
              f"seed = {seed}"]
-    for key in sorted(campaign.values):
-        if key in ("kind", "id", "seed"):
-            continue
-        lines.append(f"{key} = {campaign.values[key][0]}")
-    for _, key, value, _ in campaign.law_rules:
-        lines.append(f"{key} = {value}")
+    lines += [f"{key} = {value}" for key, (value, _) in sorted(campaign.values.items())
+              if key not in ("kind", "id", "seed")]
+    lines += [f"{key} = {value}" for _, key, value, _ in campaign.law_rules]
     return "\n".join(lines) + "\n"
 
 
-def _c_int(campaign, key, default=None):
+def _c_num(campaign, key, cast=float, default=None):
     raw = campaign.get(key)
     if raw is None:
         if default is None:
             raise CampaignError(f"{campaign.kind} campaign is missing the {key} key")
         return default
     try:
-        return int(raw)
+        return cast(raw)
     except ValueError:
         line = campaign.values[key][1]
-        raise CampaignError(f"line {line}: key {key!r} must be an integer, got {raw!r}")
-
-
-def _c_float(campaign, key, default=None):
-    raw = campaign.get(key)
-    if raw is None:
-        if default is None:
-            raise CampaignError(f"{campaign.kind} campaign is missing the {key} key")
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        line = campaign.values[key][1]
-        raise CampaignError(f"line {line}: key {key!r} must be a number, got {raw!r}")
+        what = "an integer" if cast is int else "a number"
+        raise CampaignError(f"line {line}: key {key!r} must be {what}, got {raw!r}")
 
 
 def _c_grid(campaign, key, cast=float, default=None):
@@ -179,28 +204,24 @@ def _c_grid(campaign, key, cast=float, default=None):
         if default is None:
             raise CampaignError(f"{campaign.kind} campaign is missing the {key} key")
         return default
+    line = campaign.values[key][1]
     try:
         items = [cast(v.strip()) for v in raw.split(",") if v.strip()]
     except ValueError:
-        line = campaign.values[key][1]
         raise CampaignError(f"line {line}: key {key!r} must be a comma list, got {raw!r}")
     if not items:
-        raise CampaignError(f"key {key!r} lists no values")
+        raise CampaignError(f"line {line}: key {key!r} lists no values")
     if any(items[i] > items[i + 1] for i in range(len(items) - 1)):
-        line = campaign.values[key][1]
         raise CampaignError(f"line {line}: grid {key!r} must be sorted ascending")
     return items
 
 
 def _c_tol(campaign):
-    raw = campaign.get("tol")
-    if raw is None or raw == "auto":
-        return None
-    return _c_float(campaign, "tol")
+    return None if campaign.get("tol", "auto") == "auto" else _c_num(campaign, "tol")
 
 
 def _build_profile(campaign, n_rows: int, n_cols: int) -> EntryProfile:
-    k_cap = _c_float(campaign, "k_cap", 2.0)
+    k_cap = _c_num(campaign, "k_cap", default=2.0)
     if not k_cap > 0.0:
         raise CampaignError(f"line {campaign.values['k_cap'][1]}: k_cap must be positive, "
                             f"got {k_cap!r}")
@@ -254,10 +275,10 @@ def _write_tsv(path: str, xs, ys) -> None:
 
 def _run_sample(campaign, out_dir, stream, rows, n_threads):
     if campaign.get("rows") is not None:
-        n_rows = _c_int(campaign, "rows")
-        n_cols = _c_int(campaign, "cols", n_rows)
+        n_rows = _c_num(campaign, "rows", int)
+        n_cols = _c_num(campaign, "cols", int, n_rows)
     else:
-        n_rows = n_cols = _c_int(campaign, "n")
+        n_rows = n_cols = _c_num(campaign, "n", int)
     profile = _build_profile(campaign, n_rows, n_cols)
     mat = sample_matrix(profile, stream)
     write_matrix(os.path.join(out_dir, f"{campaign.experiment_id}.matrix.csv"), mat)
@@ -267,7 +288,7 @@ def _run_sample(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
-    n = _c_int(campaign, "n")
+    n = _c_num(campaign, "n", int)
     ks = _c_grid(campaign, "k", int)
     bad = [k for k in ks if not 0 <= k <= n]
     if bad:
@@ -275,16 +296,9 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
                             f"[0, {n}]")
     method = campaign.get("method", "mc")
     if method == "exact":
-        lines = [line_no for line_no, *_ in campaign.law_rules]
         if campaign.get("profile", "rademacher") != "rademacher":
-            lines.insert(0, campaign.values["profile"][1])
-        if lines:
-            raise CampaignError(f"line {lines[0]}: method = exact enumerates rademacher sign "
-                                "matrices and takes no other profile or law.<i>.<j> rule")
-        for key in ("trials", "tol", "gamma"):
-            if key in campaign.values:
-                raise CampaignError(f"line {campaign.values[key][1]}: method = exact takes "
-                                    f"no {key} key")
+            raise CampaignError(f"line {campaign.values['profile'][1]}: method = exact "
+                                "enumerates rademacher sign matrices and takes no other profile")
         hist = rank_histogram_rademacher(n)
         exact = [sum(hist[:n - k + 1]) / 2 ** (n * n) for k in ks]
         for k, p in zip(ks, exact):
@@ -296,11 +310,9 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
     if method != "mc":
         raise CampaignError(f"line {campaign.values['method'][1]}: method must be mc or "
                             f"exact, got {method!r}")
-    trials = _c_int(campaign, "trials")
+    trials = _c_num(campaign, "trials", int)
     profile = _build_profile(campaign, n, n)
-    config = ExperimentConfig(profile, n, max(ks), epsilon_grid=(),
-                              gamma=_c_float(campaign, "gamma", 0.25),
-                              trials=trials, master_seed=campaign.seed,
+    config = ExperimentConfig(profile, n, max(ks), trials=trials, master_seed=campaign.seed,
                               tol=_c_tol(campaign))
     table = run_trials(config, n_threads)
     estimates = []
@@ -314,16 +326,16 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
-    n = _c_int(campaign, "n")
-    k = _c_int(campaign, "k")
+    n = _c_num(campaign, "n", int)
+    k = _c_num(campaign, "k", int)
     eps = _c_grid(campaign, "epsilon", float)
-    trials = _c_int(campaign, "trials")
+    trials = _c_num(campaign, "trials", int)
     profile = _build_profile(campaign, n, n)
     config = ExperimentConfig(profile, n, k, epsilon_grid=tuple(eps),
-                              gamma=_c_float(campaign, "gamma", 0.25),
+                              gamma=_c_num(campaign, "gamma", default=0.25),
                               trials=trials, master_seed=campaign.seed,
                               tol=_c_tol(campaign))
-    tail = singular_tail_mc(config, comparison_c=_c_float(campaign, "comparison_c", 1.0),
+    tail = singular_tail_mc(config, comparison_c=_c_num(campaign, "comparison_c", default=1.0),
                             n_threads=n_threads)
     for entry in tail:
         rows.append(_row(campaign.experiment_id, n, k, float(entry["epsilon"]),
@@ -336,12 +348,12 @@ def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
-    n = _c_int(campaign, "n")
+    n = _c_num(campaign, "n", int)
     profile = _build_profile(campaign, n, n)
-    params = RLCDParams(L=_c_float(campaign, "L"), alpha=_c_float(campaign, "alpha"),
-                        radius_cap=_c_float(campaign, "radius_cap"),
-                        resolution=_c_float(campaign, "resolution"),
-                        mc_trials=_c_int(campaign, "mc_trials", 1000))
+    params = RLCDParams(L=_c_num(campaign, "L"), alpha=_c_num(campaign, "alpha"),
+                        radius_cap=_c_num(campaign, "radius_cap"),
+                        resolution=_c_num(campaign, "resolution"),
+                        mc_trials=_c_num(campaign, "mc_trials", int, 1000))
     basis_spec, basis_line = campaign.values.get("basis", ("axis 1", None))
     parts = basis_spec.split()
     if parts[0] == "axis" and len(parts) == 2:
@@ -373,7 +385,7 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
                                 f"out of range for n = {n}")
     trace: list = []
     est = rlcd_estimate(basis, profile, col_idx, params, stream,
-                        n_directions=_c_int(campaign, "directions", 32), trace=trace)
+                        n_directions=_c_num(campaign, "directions", int, 32), trace=trace)
     rows.append(_row(campaign.experiment_id, n, None, None,
                      est.upper if math.isfinite(est.upper) else math.inf,
                      None, params.mc_trials, campaign.seed))
@@ -390,27 +402,26 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_round(campaign, out_dir, stream, rows, n_threads):
-    n = _c_int(campaign, "n")
-    l = _c_int(campaign, "l", 1)
+    n = _c_num(campaign, "n", int)
     profile = _build_profile(campaign, n, n)
-    params = RoundingParams(delta=_c_float(campaign, "delta"),
-                            rho=_c_float(campaign, "rho"),
-                            tau=_c_float(campaign, "tau", 0.5),
-                            K=_c_float(campaign, "k_cap", 2.0),
-                            r=_c_float(campaign, "r", 0.05),
-                            c_op=_c_float(campaign, "c_op", 3.0))
+    params = RoundingParams(delta=_c_num(campaign, "delta"),
+                            rho=_c_num(campaign, "rho"),
+                            tau=_c_num(campaign, "tau", default=0.5),
+                            K=_c_num(campaign, "k_cap", default=2.0),
+                            r=_c_num(campaign, "r", default=0.05),
+                            c_op=_c_num(campaign, "c_op", default=3.0))
     vectors_file = campaign.get("vectors_file")
     if vectors_file is not None:
         v = read_matrix(vectors_file)
     else:
-        v = stream.standard_normal((n, l))
+        v = stream.standard_normal((n, _c_num(campaign, "l", int, 1)))
         v /= np.linalg.norm(v, axis=0)
-        v *= _c_float(campaign, "vector_scale", 1.0)
+        v *= _c_num(campaign, "vector_scale", default=1.0)
     u = np.column_stack([randomized_round(v[:, j], params.delta, stream)
                          for j in range(v.shape[1])])
     b = sample_matrix(profile, stream)
     report = rounding_report(v, u, profile, b, params, stream,
-                             mc_trials=_c_int(campaign, "mc_trials", 1000))
+                             mc_trials=_c_num(campaign, "mc_trials", int, 1000))
     path = os.path.join(out_dir, f"{campaign.experiment_id}.rounding_report.csv")
     with open(path, "w", newline="") as fh:
         fh.write("name,measured,threshold,pass\n")
@@ -426,11 +437,11 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
     if matrix_file is not None:
         mat = read_matrix(matrix_file)
     else:
-        n_rows = _c_int(campaign, "rows")
-        n_cols = _c_int(campaign, "cols")
+        n_rows = _c_num(campaign, "rows", int)
+        n_cols = _c_num(campaign, "cols", int)
         profile = _build_profile(campaign, n_rows, n_cols)
         mat = sample_matrix(profile, stream)
-    l = _c_int(campaign, "l")
+    l = _c_num(campaign, "l", int)
     mode = campaign.get("mode", "exhaustive")
     cert = ri_select(mat, l, mode)
     path = os.path.join(out_dir, f"{campaign.experiment_id}.certificates.csv")
@@ -442,9 +453,9 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_tensorize(campaign, out_dir, stream, rows, n_threads):
-    n = _c_int(campaign, "n")
+    n = _c_num(campaign, "n", int)
     ts = _c_grid(campaign, "t", float)
-    trials = _c_int(campaign, "trials", 100_000)
+    trials = _c_num(campaign, "trials", int, 100_000)
     probs, bounds = [], []
     for t in ts:
         prob, bound = tensorization_check(n, t, trials=trials, stream=stream)
@@ -460,17 +471,17 @@ def _run_tensorize(campaign, out_dir, stream, rows, n_threads):
 
 def _run_norms(campaign, out_dir, stream, rows, n_threads):
     law_spec = campaign.get("profile")
-    if law_spec is None or campaign.law_rules:
+    if law_spec is None:
         raise CampaignError("norms campaigns take a single homogeneous law via profile =")
     try:
         law = parse_law_spec(law_spec)
     except ValueError as exc:
         raise CampaignError(f"line {campaign.values['profile'][1]}: {exc}")
     n_grid = _c_grid(campaign, "n", int)
-    trials = _c_int(campaign, "trials")
+    trials = _c_num(campaign, "trials", int)
     table = norm_concentration_mc(law, n_grid, trials, stream,
-                                  c_op=_c_float(campaign, "c_op", 3.0),
-                                  c_hs=_c_float(campaign, "c_hs", 1.0))
+                                  c_op=_c_num(campaign, "c_op", default=3.0),
+                                  c_hs=_c_num(campaign, "c_hs", default=1.0))
     for entry in table:
         n = int(entry["n"])
         rows.append(_row(f"{campaign.experiment_id}.op", n, None, None,

@@ -92,8 +92,6 @@ class ExperimentConfig:
     ``k`` indexes the k-th smallest singular value (k = 0 degenerates to the
     always-true rank event and is allowed for rank tails only).  ``tol`` is
     the numerical-rank cutoff; None means the scale-aware per-trial default.
-    A small k relative to log(n) leaves the singular-value tail regime and
-    triggers a warning, not an error.
     """
 
     profile: EntryProfile
@@ -125,10 +123,6 @@ class ExperimentConfig:
             raise ValueError("master_seed must fit in 64 bits")
         if self.tol is not None and self.tol <= 0.0:
             raise ValueError("tol must be positive when given")
-        if 1 <= self.k < math.log(self.n):
-            warnings.warn(f"k = {self.k} is below log(n) = {math.log(self.n):.2f}; "
-                          "the singular-value tail regime assumes k >= log(n)",
-                          stacklevel=2)
 
 
 def _block_matrices(config: ExperimentConfig, block: int) -> np.ndarray:
@@ -218,12 +212,16 @@ def singular_tail_mc(config: ExperimentConfig, comparison_c: float = 1.0,
     That shape is the bound of Jain, Sah and Sawhney, "Rank deficiency of
     random matrices"; with C chosen by the caller the curve is a shape to
     compare against, not a certificate.  All epsilons share one trial
-    table, so estimates are non-decreasing exactly.
+    table, so estimates are non-decreasing exactly.  A k below log(n) leaves
+    the regime that shape assumes and triggers a warning, not an error.
     """
     if config.k < 1:
         raise ValueError("singular-value tails need k >= 1")
     if not config.epsilon_grid:
         raise ValueError("config.epsilon_grid is empty")
+    if config.k < math.log(config.n):
+        warnings.warn(f"k = {config.k} is below log(n) = {math.log(config.n):.2f}; "
+                      "the singular-value tail regime assumes k >= log(n)", stacklevel=2)
     table = run_trials(config, n_threads)
     rows = np.empty(len(config.epsilon_grid), TAIL_DTYPE)
     for i, eps in enumerate(config.epsilon_grid):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from rmtlab import cli
 from rmtlab.cli import (
     RESULTS_HEADER,
     main,
@@ -13,7 +14,7 @@ from rmtlab.cli import (
     run_campaign,
 )
 from rmtlab.errors import CampaignError
-from rmtlab.linalg import read_matrix
+from rmtlab.linalg import read_matrix, write_matrix
 
 
 def write_config(tmp_path, name, text):
@@ -193,23 +194,33 @@ def test_exact_rank_tail_campaign(tmp_path):
     assert all(r[6] == "512" for r in rows)
 
 
-@pytest.mark.parametrize("extra, message", [
-    ("profile = gaussian\n", "line 6: method = exact enumerates rademacher"),
+# The table of keys per kind refuses these when the campaign is parsed.
+_EXACT_PARSE_ERRORS = [
     ("profile = rademacher\nlaw.0.0 = gaussian\n", "line 7: method = exact"),
-    ("law.*.* = rademacher\nprofile = uniform\n", "line 7: method = exact"),
+    ("law.*.* = rademacher\nprofile = uniform\n", "line 6: method = exact"),
     ("law.*.* = rademacher\n", "line 6: method = exact"),
     ("trials = 5\n", "line 6: method = exact takes no trials key"),
     ("tol = 0.5\n", "line 6: method = exact takes no tol key"),
     ("gamma = 0.3\n", "line 6: method = exact takes no gamma key"),
+]
+
+
+@pytest.mark.parametrize("extra, message", _EXACT_PARSE_ERRORS + [
+    ("profile = gaussian\n", "line 6: method = exact enumerates rademacher"),
     ("k = 4\n", "line 6: k = 4 lies outside \\[0, 3\\]"),
     ("k = -1,1\n", "line 6: k = -1 lies outside \\[0, 3\\]"),
+    ("k = ,\n", "line 6: key 'k' lists no values"),
     ("method = exhaustive\n", "line 6: method must be mc or exact, got 'exhaustive'"),
     ("method = mc\nk = 4\n", "line 7: k = 4 lies outside \\[0, 3\\]"),
 ])
 def test_exact_method_rejects_other_profiles(tmp_path, capsys, extra, message):
+    text = "kind = rank-tail\nseed = 1\nn = 3\nk = 1\nmethod = exact\n" + extra
+    if (extra, message) in _EXACT_PARSE_ERRORS:
+        with pytest.raises(CampaignError, match=message):
+            parse_campaign(text)
+        return
     out = str(tmp_path / "out")
-    cfg = parse_campaign("kind = rank-tail\nseed = 1\nn = 3\nk = 1\nmethod = exact\n" + extra)
-    assert run_campaign(cfg, out_dir=out) == 2
+    assert run_campaign(parse_campaign(text), out_dir=out) == 2
     assert re.search(message, capsys.readouterr().err)
     assert read_results(out) == []
 
@@ -382,13 +393,137 @@ def test_norms_campaign(tmp_path):
     assert os.path.exists(os.path.join(out, "norms.hsnorm.tsv"))
 
 
-def test_norms_campaign_rejects_law_rules(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    cfg = parse_campaign(
-        "kind = norms\nseed = 7\nprofile = rademacher\nlaw.0.0 = gaussian\n"
-        "n = 4\ntrials = 50\n")
-    assert run_campaign(cfg, out_dir=out) == 2
-    assert "homogeneous" in capsys.readouterr().err
+def test_norms_campaign_rejects_law_rules():
+    with pytest.raises(CampaignError, match="line 4: kind = norms takes no law"):
+        parse_campaign("kind = norms\nseed = 7\nprofile = rademacher\nlaw.0.0 = gaussian\n"
+                       "n = 4\ntrials = 50\n")
+
+
+# --- keys per kind ---
+
+# A value for every key some kind reads; "law" is the law of a law.0.0 rule.
+_KEY_VALUES = {
+    "n": "3", "rows": "2", "cols": "3", "k": "2", "epsilon": "0.1,0.5", "gamma": "0.3",
+    "trials": "20", "tol": "1e-9", "method": "mc", "k_cap": "2.5", "profile": "rademacher",
+    "law": "gaussian", "L": "1.0", "alpha": "0.5", "radius_cap": "2.0", "resolution": "0.5",
+    "mc_trials": "100", "basis": "axis 1", "columns": "0,1", "directions": "4", "l": "1",
+    "delta": "0.05", "rho": "0.3", "tau": "0.5", "r": "0.05", "c_op": "3.0", "c_hs": "1.0",
+    "comparison_c": "2.0", "t": "0.25,0.8", "mode": "exhaustive", "vector_scale": "2.0",
+}
+_ROWS = list(cli._KIND_KEYS)
+
+
+def _row_id(row):
+    kind, branch = row
+    return f"{kind} with {branch}" if branch else kind
+
+
+def _row_campaign(tmp_path, row):
+    """Campaign text setting every key of the row, one line each after kind and seed."""
+    kind, branch = row
+    values = dict(_KEY_VALUES, matrix_file=str(tmp_path / "matrix.csv"),
+                  vectors_file=str(tmp_path / "vectors.csv"))
+    write_matrix(values["matrix_file"], np.arange(12.0).reshape(3, 4) % 5 - 2)
+    write_matrix(values["vectors_file"], np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 1.0]]))
+    if " = " in branch:
+        key, _, values[key] = branch.partition(" = ")
+    if kind == "norms":
+        values["n"] = "3,4"
+    lines = [f"kind = {kind}", "seed = 5"]
+    lines += [f"law.0.0 = {values[key]}" if key == "law" else f"{key} = {values[key]}"
+              for key in cli._KIND_KEYS[row].split()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("row", _ROWS, ids=_row_id)
+def test_kind_refuses_keys_outside_its_row(tmp_path, row):
+    text = _row_campaign(tmp_path, row)
+    parse_campaign(text)
+    line = len(text.splitlines()) + 1
+    reads = set(cli._KIND_KEYS[row].split())
+    # a key that selects another row of the same kind is covered below
+    selectors = {branch.partition(" = ")[0] for kind, branch in _ROWS if kind == row[0]}
+    for key in sorted(cli._KNOWN_KEYS - reads - selectors - {"kind", "id", "seed"}):
+        with pytest.raises(CampaignError, match=f"^line {line}: .* takes no {key} key$"):
+            parse_campaign(text + f"{key} = 1\n")
+    if "law" not in reads:
+        with pytest.raises(CampaignError, match=f"^line {line}: .* takes no law"):
+            parse_campaign(text + "law.0.0 = gaussian\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = singular-tail\nseed = 1\nn = 3\nk = 2\nepsilon = 0.1\ntrials = 5\n"
+     "method = exact\nprofile = rademacher\n", "line 7: kind = singular-tail takes no method"),
+    ("kind = sample\nseed = 1\nn = 3\ncols = 5\nprofile = rademacher\n",
+     "line 4: kind = sample without rows takes no cols key"),
+    ("kind = tensorize\nseed = 1\nn = 2\nt = 0.5\nprofile = cauchy\n",
+     "line 5: kind = tensorize takes no profile key"),
+    ("kind = rank-tail\nseed = 1\nn = 3\nk = 1\ntrials = 5\ngamma = 0.3\n",
+     "line 6: kind = rank-tail takes no gamma key"),
+    ("kind = rank-tail\nseed = 1\nn = 3\nk = 1\nmethod = exact\nk_cap = 5\nepsilon = 0.5\n"
+     "comparison_c = 3\n", "line 6: method = exact takes no k_cap key"),
+    ("kind = sample\nseed = 1\nn = 3\nprofile = rademacher\ntrials = 100\nmethod = exact\n",
+     "line 5: kind = sample without rows takes no trials key"),
+    ("kind = sample\nseed = 1\nn = 3\nrows = 2\nprofile = rademacher\n",
+     "line 3: kind = sample with rows takes no n key"),
+    ("kind = round\nseed = 1\nn = 3\nl = 2\nvectors_file = v.csv\ndelta = 0.1\nrho = 0.3\n",
+     "line 4: kind = round with vectors_file takes no l key"),
+    ("kind = ri-select\nseed = 1\nrows = 2\ncols = 3\nmatrix_file = m.csv\nl = 1\n",
+     "line 3: kind = ri-select with matrix_file takes no rows key"),
+])
+def test_parse_refuses_keys_the_kind_does_not_read(text, message):
+    with pytest.raises(CampaignError, match=message):
+        parse_campaign(text)
+
+
+class _ReadLog(dict):
+    """Campaign values that note each key looked up."""
+
+    def __init__(self, values, seen):
+        super().__init__(values)
+        self.seen = seen
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+class _RuleLog(list):
+    """Law rules that note, as the key "law", that they were read."""
+
+    def __init__(self, rules, seen):
+        super().__init__(rules)
+        self.seen = seen
+
+    def __iter__(self):
+        self.seen.add("law")
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("row", _ROWS, ids=_row_id)
+def test_runner_reads_every_key_of_its_row(tmp_path, monkeypatch, row):
+    campaign = parse_campaign(_row_campaign(tmp_path, row))
+    seen: set = set()
+    write_manifest = cli.normalize_campaign
+
+    def manifest_then_log(c, seed):
+        text = write_manifest(c, seed)
+        seen.clear()  # the manifest copies every key; only the runner's reads count
+        return text
+
+    monkeypatch.setattr(cli, "normalize_campaign", manifest_then_log)
+    campaign.values = _ReadLog(campaign.values, seen)
+    campaign.law_rules = _RuleLog(campaign.law_rules, seen)
+    assert run_campaign(campaign, out_dir=str(tmp_path / "out")) == 0
+    assert sorted(set(cli._KIND_KEYS[row].split()) - seen) == []
 
 
 # --- argument-level entry point ---

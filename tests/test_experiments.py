@@ -76,14 +76,21 @@ def test_config_validates_shapes_and_ranges():
         ExperimentConfig(prof, 3, 3, tol=0.0)
 
 
-def test_config_warns_below_tail_regime():
+def test_singular_tail_warns_below_tail_regime():
     prof = EntryProfile.homogeneous(10, 10, rademacher(), 2.0)
-    with pytest.warns(UserWarning):
-        ExperimentConfig(prof, 10, 1)
+
+    def tail(k):
+        return singular_tail_mc(ExperimentConfig(prof, 10, k, epsilon_grid=(0.5,), trials=8))
+
+    with pytest.warns(UserWarning, match="k = 1 is below log") as record:
+        tail(1)
+    assert record[0].filename == __file__  # points at the caller
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ExperimentConfig(prof, 10, 5)  # above log(10): no warning
-        ExperimentConfig(prof, 10, 0)  # rank-only degenerate case: no warning
+        ExperimentConfig(prof, 10, 1)  # a config alone never warns
+        tail(5)  # above log(10): no warning
+        with pytest.raises(ValueError, match="k >= 1"):
+            tail(0)  # rank-only degenerate case: an error, no warning
 
 
 # --- trial tables ---

@@ -13,7 +13,6 @@ support are handled by exact enumeration and the rest by Monte Carlo.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -306,9 +305,12 @@ def esseen_bound_eval(m: int, L: float, alpha: float, det_root: float,
 def count_lattice_points(n: int, radius: float, c: float = 3.0) -> tuple[int, float]:
     """Exact count of integer points in the ball of the given radius, with its bound.
 
-    Enumerates the integer box [-ceil(R), ceil(R)]^n and filters by norm;
-    the companion value is the bound (2 + c R / sqrt(n))^n.  Dimensions
-    above 4 or radii above 20 are refused (box enumeration blows up).
+    ``shell[s]`` counts the coordinates v in [-ceil(R), ceil(R)] with
+    v^2 = s; its n-fold integer convolution counts the points of the box
+    [-ceil(R), ceil(R)]^n with squared norm s, and the count sums those for
+    s <= floor(R^2), which an integer s meets exactly when s <= R^2.  The
+    companion value is the bound (2 + c R / sqrt(n))^n.  The function covers
+    n <= 4 and R <= 20 and raises :class:`ResourceLimitError` outside them.
     """
     if not 1 <= n <= 4 or radius > 20.0:
         raise ResourceLimitError(f"enumeration limited to n <= 4 and radius <= 20, "
@@ -316,8 +318,10 @@ def count_lattice_points(n: int, radius: float, c: float = 3.0) -> tuple[int, fl
     if radius < 0.0:
         raise ValueError("radius must be non-negative")
     top = math.ceil(radius)
-    r2 = radius * radius
-    count = sum(1 for pt in itertools.product(range(-top, top + 1), repeat=n)
-                if sum(v * v for v in pt) <= r2)
+    shell = np.bincount(np.arange(-top, top + 1, dtype=np.int64) ** 2)
+    by_norm = np.ones(1, dtype=np.int64)
+    for _ in range(n):
+        by_norm = np.convolve(by_norm, shell)
+    count = int(by_norm[:math.floor(radius * radius) + 1].sum())
     bound = (2.0 + c * radius / math.sqrt(n)) ** n
     return count, bound

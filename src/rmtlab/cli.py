@@ -367,6 +367,9 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
         basis = np.eye(n)[:m]
     elif parts[0] == "file" and len(parts) == 2:
         basis = read_matrix(parts[1])
+        if basis.shape[-1] != n:
+            raise CampaignError(f"line {basis_line}: basis file {parts[1]!r} has "
+                                f"{basis.shape[-1]} columns, expected n = {n}")
     else:
         raise CampaignError(f"line {basis_line}: basis must be 'axis <m>' or 'file <path>', "
                             f"got {basis_spec!r}")
@@ -413,6 +416,9 @@ def _run_round(campaign, out_dir, stream, rows, n_threads):
     vectors_file = campaign.get("vectors_file")
     if vectors_file is not None:
         v = read_matrix(vectors_file)
+        if v.shape[0] != n:
+            raise CampaignError(f"line {campaign.values['vectors_file'][1]}: vectors_file "
+                                f"{vectors_file!r} has {v.shape[0]} rows, expected n = {n}")
     else:
         v = stream.standard_normal((n, _c_num(campaign, "l", int, 1)))
         v /= np.linalg.norm(v, axis=0)

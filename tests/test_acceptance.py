@@ -9,7 +9,6 @@ import itertools
 import math
 import os
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -53,9 +52,7 @@ def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:
 
 def _mc_config(n, k, trials, seed):
     prof = EntryProfile.homogeneous(n, n, rademacher(), 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ExperimentConfig(prof, n, k, trials=trials, master_seed=seed)
+    return ExperimentConfig(prof, n, k, trials=trials, master_seed=seed)
 
 
 def test_criterion_01_exact_oracle_n2():

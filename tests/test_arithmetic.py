@@ -1,3 +1,5 @@
+import bisect
+import functools
 import itertools
 import math
 
@@ -359,6 +361,34 @@ def test_count_lattice_points_bound_holds():
         for radius in np.arange(0.5, 10.5, 0.5):
             exact, bound = count_lattice_points(n, float(radius))
             assert exact <= bound
+
+
+@functools.cache
+def _box_sq_norms(n, top):
+    """Sorted squared norms of the box [-top, top]^n, enumerated point by point as in 0.6.0."""
+    return sorted(sum(v * v for v in pt)
+                  for pt in itertools.product(range(-top, top + 1), repeat=n))
+
+
+def ref_count_lattice_points(n, radius, c=3.0):
+    """The 0.6.0 count: the box points whose squared norm is at most radius * radius.
+
+    Python compares the integer norms with the float r2 exactly, as the 0.6.0
+    filter ``sum(v * v for v in pt) <= r2`` did; the box is enumerated once per
+    (n, ceil(R)) so that 200 radii per dimension stay affordable.
+    """
+    count = bisect.bisect_right(_box_sq_norms(n, math.ceil(radius)), radius * radius)
+    return count, (2.0 + c * radius / math.sqrt(n)) ** n
+
+
+def test_count_lattice_points_matches_box_enumeration():
+    radii = ([0.0] + [math.sqrt(k) for k in range(151)]
+             + [float(r) for r in np.random.default_rng(2024).uniform(0.0, 12.0, 60)])
+    for n in (1, 2, 3, 4):
+        for radius in radii + ([20.0] if n <= 3 else []):
+            got = count_lattice_points(n, radius)
+            assert type(got[0]) is int
+            assert got == ref_count_lattice_points(n, radius), (n, radius)
 
 
 def test_count_lattice_points_limits():

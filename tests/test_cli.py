@@ -302,6 +302,20 @@ def test_rlcd_campaign_rejects_bad_basis_and_columns(tmp_path, capsys, line, mes
     assert re.search(message, err)
 
 
+@pytest.mark.parametrize("text, shape, message", [
+    ("kind = round\nseed = 1\nn = 12\nvectors_file = {path}\ndelta = 0.1\nrho = 0.3\n"
+     "profile = rademacher\n", (5, 1), "line 4: vectors_file '{path}' has 5 rows, expected n = 12"),
+    (RLCD_CFG + "basis = file {path}\n", (5, 2),
+     "line 9: basis file '{path}' has 2 columns, expected n = 3"),
+], ids=["round", "rlcd"])
+def test_matrix_file_shape_errors_name_their_line(tmp_path, capsys, text, shape, message):
+    path = str(tmp_path / "matrix.csv")
+    write_matrix(path, np.ones(shape))
+    cfg = parse_campaign(text.format(path=path))
+    assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+
+
 def test_profile_rule_errors_name_their_line(tmp_path, capsys):
     cfg = parse_campaign("kind = sample\nseed = 1\nn = 2\nprofile = rademacher\n"
                          "law.0.1 = gaussian\nlaw.1.* = cauchy\n")

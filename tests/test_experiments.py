@@ -33,11 +33,9 @@ from rmtlab.experiments import (
 
 
 def _config(n, k, law=None, **kwargs):
-    """Config helper that silences the small-k regime warning."""
+    """Config on a homogeneous n x n profile, rademacher unless another law is given."""
     prof = EntryProfile.homogeneous(n, n, law or rademacher(), 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ExperimentConfig(prof, n, k, **kwargs)
+    return ExperimentConfig(prof, n, k, **kwargs)
 
 
 def enumerate_sign_matrix_rank_tail(n: int, k: int) -> Fraction:
@@ -100,9 +98,7 @@ def _mixed_config(n, k, **kwargs):
     rules = parse_profile_rules(["law.*.* = rademacher", "law.*.1 = gaussian",
                                  "law.2.* = sparse-bernoulli(0.5)"])
     prof = profile_from_rules(rules, n, n, k_cap=2.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ExperimentConfig(prof, n, k, **kwargs)
+    return ExperimentConfig(prof, n, k, **kwargs)
 
 
 def test_run_trials_deterministic_across_partitioning():

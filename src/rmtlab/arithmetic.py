@@ -216,6 +216,8 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
     if v.ndim != 2:
         raise ValueError("basis must be a 2-d array (rows spanning the target)")
     m, n = v.shape
+    if m == 0:
+        raise ValueError("basis has no rows")
     if n != profile.n_rows:
         raise ValueError(f"basis columns {n} do not match profile rows {profile.n_rows}")
     cols = list(column_indices)

@@ -367,9 +367,11 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
         basis = np.eye(n)[:m]
     elif parts[0] == "file" and len(parts) == 2:
         basis = read_matrix(parts[1])
-        if basis.shape[-1] != n:
+        if basis.shape[1] != n:
             raise CampaignError(f"line {basis_line}: basis file {parts[1]!r} has "
-                                f"{basis.shape[-1]} columns, expected n = {n}")
+                                f"{basis.shape[1]} columns, expected n = {n}")
+        if basis.shape[0] == 0:
+            raise CampaignError(f"line {basis_line}: basis file {parts[1]!r} has no rows")
     else:
         raise CampaignError(f"line {basis_line}: basis must be 'axis <m>' or 'file <path>', "
                             f"got {basis_spec!r}")
@@ -419,6 +421,9 @@ def _run_round(campaign, out_dir, stream, rows, n_threads):
         if v.shape[0] != n:
             raise CampaignError(f"line {campaign.values['vectors_file'][1]}: vectors_file "
                                 f"{vectors_file!r} has {v.shape[0]} rows, expected n = {n}")
+        if v.shape[1] == 0:
+            raise CampaignError(f"line {campaign.values['vectors_file'][1]}: vectors_file "
+                                f"{vectors_file!r} has no columns")
     else:
         v = stream.standard_normal((n, _c_num(campaign, "l", int, 1)))
         v /= np.linalg.norm(v, axis=0)
@@ -442,6 +447,9 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
     matrix_file = campaign.get("matrix_file")
     if matrix_file is not None:
         mat = read_matrix(matrix_file)
+        if mat.shape[0] == 0:
+            raise CampaignError(f"line {campaign.values['matrix_file'][1]}: matrix_file "
+                                f"{matrix_file!r} has no rows")
     else:
         n_rows = _c_num(campaign, "rows", int)
         n_cols = _c_num(campaign, "cols", int)
@@ -585,6 +593,8 @@ def main(argv=None) -> int:
             if not 0 <= args.seed < 2 ** 64:
                 raise CampaignError("--seed must fit in 64 bits")
             campaign.seed = args.seed
+        if args.threads < 1:
+            raise CampaignError(f"--threads must be at least 1, got {args.threads}")
     except (OSError, CampaignError) as exc:
         print(f"rmtlab: {exc}", file=sys.stderr)
         return 2

@@ -336,7 +336,7 @@ def compressible_event_check(b_matrix: np.ndarray, x_tuple: np.ndarray, tau: flo
     ok, _, _ = almost_orthogonal_check(x, 0.25)
     if not ok:
         return False
-    if any(dist_to_sparse(x[:, j], tau ** 2) > tau ** 4 for j in range(x.shape[1])):
+    if np.any(dist_to_sparse(x, tau ** 2) > tau ** 4):
         return False
     b = np.asarray(b_matrix, dtype=float)
     images = np.linalg.norm(b @ x, axis=0)

@@ -149,13 +149,15 @@ def read_matrix(path) -> np.ndarray:
             n_rows, n_cols = int(header[0]), int(header[1])
         except (StopIteration, ValueError, IndexError) as exc:
             raise ValueError(f"{path}: expected a rows,cols header line") from exc
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError(f"{path}: header declares a negative shape {n_rows},{n_cols}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
-            if not row:
+            if not row and n_cols:  # a row of a 0-column matrix is an empty line
                 continue
             if len(row) != n_cols:
                 raise ValueError(f"{path}:{line_no}: expected {n_cols} values, got {len(row)}")
             rows.append([float(v) for v in row])
     if len(rows) != n_rows:
         raise ValueError(f"{path}: header declares {n_rows} rows, found {len(rows)}")
-    return np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float).reshape(n_rows, n_cols)

@@ -206,8 +206,10 @@ def annulus_check(u: np.ndarray, a_profile: EntryProfile, keep_norm: float,
     kept image to exceed ``threshold``; all kept images go to
     :func:`matrix_lattice_distance` in one batch.  The measured value is the
     smallest such distance; no kept sample means a vacuous pass with
-    measured value +inf.
+    measured value +inf.  At least one sample must be drawn.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     l = u.shape[1]
     ball_radius = 1.0 / (20.0 * math.sqrt(l))
     raw = stream.standard_normal((l, n_samples))
@@ -287,10 +289,10 @@ def sample_lattice_shell(delta: float, d_j: float, n: int, sphere_params,
         proposed += batch
         pts = coords * delta
         norms = np.linalg.norm(pts, axis=1)
-        for i in np.flatnonzero((norms >= lo) & (norms <= hi)):
-            direction = pts[i] / norms[i]
-            if dist_to_sparse(direction, tau ** 2) > tau ** 4 / 2.0:
-                return pts[i]
+        window = np.flatnonzero((norms >= lo) & (norms <= hi))
+        spread = dist_to_sparse((pts[window] / norms[window, None]).T, tau ** 2) > tau ** 4 / 2.0
+        if spread.any():
+            return pts[window[np.argmax(spread)]]
     raise ResourceLimitError(
         f"lattice-shell sampler found no acceptable point in {proposed} proposals "
         f"(delta={delta}, d_j={d_j}, n={n}, tau={tau})")

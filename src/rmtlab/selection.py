@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _EXHAUSTIVE_BUDGET = 10 ** 6
+_CHUNK_ENTRIES = 2 ** 20  # matrix entries per batched SVD (8 MB), bounding memory
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ def ri_bound_rhs(spectrum: SingularSpectrum, l: int) -> float:
         raise ValueError("expected a wide matrix (rows <= columns)")
     if len(spectrum.values) != k:
         raise ValueError("spectrum length does not match row count")
-    if spectrum.smallest <= default_rank_tol(spectrum):
-        raise ValueError("spectrum is rank-deficient; the bound assumes full rank")
     if not 1 <= l <= k - 1:
         raise ValueError(f"l must lie in [1, {k - 1}], got {l}")
+    if spectrum.smallest <= default_rank_tol(spectrum):
+        raise ValueError("spectrum is rank-deficient; the bound assumes full rank")
     vals = spectrum.values
     best = math.inf
     for r in range(l + 1, k + 1):
@@ -77,10 +78,15 @@ def ri_bound_rhs(spectrum: SingularSpectrum, l: int) -> float:
     return best
 
 
-def _smallest_selected(m: np.ndarray, indices) -> float:
-    sub = m[:, list(indices)]
-    vals = np.linalg.svd(sub, compute_uv=False)
-    return float(vals[-1])
+def _best_subset(m: np.ndarray, chunks) -> tuple[float, np.ndarray]:
+    """Largest s_l of m[:, row] over the rows of index-array chunks; the first row wins ties."""
+    best_val, best = -math.inf, None
+    for block in chunks:  # one batched SVD per chunk
+        vals = np.linalg.svd(np.swapaxes(m[:, block], 0, 1), compute_uv=False)[:, -1]
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best = float(vals[i]), block[i]
+    return best_val, best
 
 
 def ri_select(m: np.ndarray, l: int, mode: str = "exhaustive") -> SelectionCertificate:
@@ -90,7 +96,8 @@ def ri_select(m: np.ndarray, l: int, mode: str = "exhaustive") -> SelectionCerti
     lexicographically smallest index set; subsets beyond 10^6 are refused).
     Greedy mode grows the selection one column at a time, each step taking
     the column that maximizes the running smallest singular value, lowest
-    index on ties.
+    index on ties.  Candidate subsets are scored in chunks, one batched SVD
+    of at most 2^20 matrix entries each.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -98,6 +105,7 @@ def ri_select(m: np.ndarray, l: int, mode: str = "exhaustive") -> SelectionCerti
     k, d = m.shape
     spectrum = singular_spectrum(m)
     rhs = ri_bound_rhs(spectrum, l)
+    step = max(1, _CHUNK_ENTRIES // (k * l))  # subsets per batched SVD
 
     if mode == "exhaustive":
         n_subsets = math.comb(d, l)
@@ -105,36 +113,24 @@ def ri_select(m: np.ndarray, l: int, mode: str = "exhaustive") -> SelectionCerti
             raise ResourceLimitError(
                 f"exhaustive search over C({d},{l}) = {n_subsets} subsets exceeds "
                 f"the {_EXHAUSTIVE_BUDGET} budget")
-        best_idx = None
-        best_val = -math.inf
-        for combo in itertools.combinations(range(d), l):
-            val = _smallest_selected(m, combo)
-            if val > best_val:  # lex-first winner on ties: combinations are lex-ordered
-                best_val = val
-                best_idx = combo
-        indices = best_idx
-        s_l = best_val
+        # combinations are lex-ordered, so the first maximum is the lex-first winner
+        flat = itertools.chain.from_iterable(itertools.combinations(range(d), l))
+        s_l, best = _best_subset(m, (
+            np.fromiter(itertools.islice(flat, step * l), np.intp).reshape(-1, l)
+            for _ in range(0, n_subsets, step)))
     elif mode == "greedy":
-        chosen: list[int] = []
+        best = np.empty(0, dtype=np.intp)
         for _ in range(l):
-            best_j = None
-            best_val = -math.inf
-            for j in range(d):
-                if j in chosen:
-                    continue
-                val = _smallest_selected(m, chosen + [j])
-                if val > best_val:
-                    best_val = val
-                    best_j = j
-            chosen.append(best_j)
-        indices = tuple(sorted(chosen))
-        s_l = _smallest_selected(m, indices)
+            rest = np.setdiff1d(np.arange(d), best)
+            block = np.column_stack([np.tile(best, (rest.size, 1)), rest])
+            _, best = _best_subset(m, (block[i:i + step] for i in range(0, rest.size, step)))
+        s_l, best = _best_subset(m, [np.sort(best)[None]])
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
 
     if s_l <= 0.0:
         raise ValueError("selection is singular; certificate undefined")
-    return SelectionCertificate(tuple(indices), s_l, rhs, (1.0 / s_l) / rhs)
+    return SelectionCertificate(tuple(best.tolist()), s_l, rhs, (1.0 / s_l) / rhs)
 
 
 def projection_deficit(a: np.ndarray, selected, excluded) -> float:

@@ -58,23 +58,28 @@ def _check_unit(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def dist_to_sparse(x: np.ndarray, delta: float) -> float:
+def dist_to_sparse(x: np.ndarray, delta: float):
     """Euclidean distance from x to the vectors supported on <= floor(delta*n) coords.
 
-    The nearest sparse vector keeps the floor(delta*n) largest-magnitude
-    coordinates, so the distance is the norm of the rest.  When the support
-    budget floors to zero only the zero vector is sparse and the distance is
-    the full norm of x.
+    ``x`` is one vector (the result is a float) or an n x B array of column
+    vectors (the result is an array of B distances, the same as B single
+    calls).  The nearest sparse vector keeps the floor(delta*n)
+    largest-magnitude coordinates, so the distance is the norm of the rest.
+    When the support budget floors to zero only the zero vector is sparse
+    and the distance is the full norm of x.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or an n x B array, got shape {x.shape}")
+    n = x.shape[0]
+    mags = np.abs(np.ascontiguousarray((x[:, None] if x.ndim == 1 else x).T))
     budget = int(delta * n)
-    if budget <= 0:
-        return float(np.linalg.norm(x))
-    if budget >= n:
-        return 0.0
-    mags = np.sort(np.abs(x))
-    return float(np.linalg.norm(mags[: n - budget]))
+    if budget > 0:
+        mags = np.sort(mags, axis=1)[:, : max(n - budget, 0)]
+    # One dot product per column, the sum a 1-d np.linalg.norm takes, so a batch
+    # is bit-equal to single calls; axis norms and einsum can differ in the last bit.
+    dists = np.sqrt(mags[:, None, :] @ mags[:, :, None])[:, 0, 0]
+    return float(dists[0]) if x.ndim == 1 else dists
 
 
 def classify_vector(x: np.ndarray, params: SphereParams) -> str:
@@ -126,8 +131,11 @@ def sampled_span_incompressible(vectors: np.ndarray, delta: float, rho: float,
 
     Draws ``n_samples`` uniform directions in the span and measures each
     one's distance to the sparse set; returns (all strictly above rho, worst
-    distance seen).  A sampled check can only certify failure, never success.
+    distance seen).  A sampled check can only certify failure, never success,
+    and it needs at least one sample.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     v = np.asarray(vectors, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
@@ -138,8 +146,5 @@ def sampled_span_incompressible(vectors: np.ndarray, delta: float, rho: float,
         raise ValueError("span is trivial; nothing to sample")
     coeffs = stream.standard_normal((q.shape[1], n_samples))
     coeffs /= np.linalg.norm(coeffs, axis=0)
-    pts = q @ coeffs
-    worst = math.inf
-    for i in range(n_samples):
-        worst = min(worst, dist_to_sparse(pts[:, i], delta))
+    worst = float(np.min(dist_to_sparse(q @ coeffs, delta)))
     return worst > rho, worst

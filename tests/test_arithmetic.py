@@ -235,6 +235,8 @@ def test_rlcd_rejects_degenerate_basis(rng):
         rlcd_estimate(bad, prof, [0], params, rng)
     with pytest.raises(ValueError):
         rlcd_estimate(np.eye(2), prof, [5], params, rng)
+    with pytest.raises(ValueError, match="basis has no rows"):
+        rlcd_estimate(np.zeros((0, 2)), prof, [0], params, rng)
 
 
 def test_rlcd_multirow_basis_runs(rng):

@@ -307,7 +307,12 @@ def test_rlcd_campaign_rejects_bad_basis_and_columns(tmp_path, capsys, line, mes
      "profile = rademacher\n", (5, 1), "line 4: vectors_file '{path}' has 5 rows, expected n = 12"),
     (RLCD_CFG + "basis = file {path}\n", (5, 2),
      "line 9: basis file '{path}' has 2 columns, expected n = 3"),
-], ids=["round", "rlcd"])
+    (RLCD_CFG + "basis = file {path}\n", (0, 3), "line 9: basis file '{path}' has no rows"),
+    ("kind = round\nseed = 1\nn = 12\nvectors_file = {path}\ndelta = 0.1\nrho = 0.3\n"
+     "profile = rademacher\n", (12, 0), "line 4: vectors_file '{path}' has no columns"),
+    ("kind = ri-select\nseed = 1\nmatrix_file = {path}\nl = 1\n", (0, 5),
+     "line 3: matrix_file '{path}' has no rows"),
+], ids=["round", "rlcd", "rlcd-no-rows", "round-no-columns", "ri-select-no-rows"])
 def test_matrix_file_shape_errors_name_their_line(tmp_path, capsys, text, shape, message):
     path = str(tmp_path / "matrix.csv")
     write_matrix(path, np.ones(shape))
@@ -592,6 +597,16 @@ def test_main_rejects_out_of_range_seed(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "c.cfg", RANK_TAIL_CFG)
     assert main(["rank-tail", "--config", cfg_path, "--seed", str(2**64)]) == 2
     assert "64 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_main_rejects_thread_count_below_one(tmp_path, capsys, threads):
+    cfg_path = write_config(tmp_path, "c.cfg", RANK_TAIL_CFG)
+    out = tmp_path / "out"
+    assert main(["rank-tail", "--config", cfg_path, "--out", str(out),
+                 "--threads", threads]) == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()  # refused before the campaign started
 
 
 def test_report_subcommand(tmp_path, capsys):

@@ -421,6 +421,16 @@ def test_kernel_event_flags_norm_violation(rng):
     assert not flags["norm_window"]
 
 
+def test_kernel_event_refuses_zero_annulus_samples(rng):
+    n = 20
+    params = KernelEventParams(tau=0.4, rho=0.3, r=0.01, L=1.0)
+    b, v = _kernel_fixture(rng, n, 2)
+    prof = EntryProfile.homogeneous(n, n, rademacher(), 2.0)
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        kernel_tuple_event_check(v, b, prof, params, rng, n_span_samples=10,
+                                 n_annulus_samples=0, mc_trials=10)
+
+
 def test_kernel_event_rejects_non_kernel_tuple(rng):
     n, l = 20, 2
     params = KernelEventParams(tau=0.4, rho=0.3, r=0.01, L=1.0)

@@ -262,3 +262,17 @@ def test_read_matrix_rejects_malformed(tmp_path):
     p.write_text("2,2\n1.0,2.0\n")
     with pytest.raises(ValueError):
         read_matrix(p)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_matrix_round_trip_keeps_empty_shapes(tmp_path, shape):
+    path = tmp_path / "m.csv"
+    write_matrix(path, np.zeros(shape))
+    assert read_matrix(path).shape == shape
+
+
+def test_read_matrix_rejects_negative_shape(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("0,-2\n")
+    with pytest.raises(ValueError, match="negative shape"):
+        read_matrix(p)

@@ -8,6 +8,7 @@ from rmtlab.ensembles import EntryProfile, rademacher
 from rmtlab.errors import ResourceLimitError
 from rmtlab.rounding import (
     RoundingParams,
+    annulus_check,
     default_delta,
     in_rounding_net,
     randomized_round,
@@ -155,6 +156,24 @@ def test_report_csv_rows_shape(rng):
                      "lattice_dist", "annulus", "image_norm"]
     for row in rows:
         assert row.split(",")[3] in ("True", "False")
+
+
+def test_report_refuses_zero_span_samples(rng):
+    n = 10
+    b, v = _kernel_tuple(rng, n, 2)
+    params = RoundingParams(delta=0.2, rho=0.3, tau=0.5, K=1.3, r=0.01)
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        rounding_report(v, np.round(v / 0.2) * 0.2,
+                        EntryProfile.homogeneous(n, n, rademacher(), 2.0), b, params, rng,
+                        n_span_samples=0, n_annulus_samples=10, mc_trials=10)
+
+
+def test_annulus_without_kept_samples_passes_vacuously(rng):
+    prof = EntryProfile.homogeneous(4, 4, rademacher(), 2.0)
+    check = annulus_check(np.eye(4)[:, :2], prof, 1e6, 0.5, rng, n_samples=50, mc_trials=10)
+    assert (check.measured, check.passed) == (math.inf, True)
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        annulus_check(np.eye(4)[:, :2], prof, 1e6, 0.5, rng, n_samples=0, mc_trials=10)
 
 
 def test_report_shape_mismatch(rng):

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from rmtlab import selection
 from rmtlab.errors import ResourceLimitError
-from rmtlab.linalg import singular_spectrum
+from rmtlab.linalg import numerical_rank, singular_spectrum
 from rmtlab.selection import (
     SelectionCertificate,
     projection_deficit,
@@ -57,6 +59,8 @@ def test_bound_validation(rng):
     for bad_l in (0, 3, 7):
         with pytest.raises(ValueError):
             ri_bound_rhs(ok, bad_l)
+    with pytest.raises(ValueError, match="l must lie in"):
+        ri_bound_rhs(singular_spectrum(np.zeros((0, 4))), 1)
 
 
 def test_select_duplicated_identity():
@@ -154,3 +158,66 @@ def test_projection_deficit_matches_lstsq_residuals(rng):
 def test_projection_deficit_rejects_overlap(rng):
     with pytest.raises(ValueError):
         projection_deficit(rng.standard_normal((4, 4)), [0, 1], [1, 2])
+
+
+# --- batched subset scoring against the 0.7.0 one-SVD-per-subset loop ---
+
+
+def ref_select(m: np.ndarray, l: int, mode: str) -> tuple[tuple[int, ...], float]:
+    """(indices, s_l) of the 0.7.0 ri_select, one SVD per candidate subset."""
+    def smallest(indices):
+        return float(np.linalg.svd(m[:, list(indices)], compute_uv=False)[-1])
+
+    d = m.shape[1]
+    if mode == "exhaustive":
+        best_idx, best_val = None, -math.inf
+        for combo in itertools.combinations(range(d), l):
+            val = smallest(combo)
+            if val > best_val:
+                best_val, best_idx = val, combo
+        return best_idx, best_val
+    chosen: list = []
+    for _ in range(l):
+        best_j, best_val = None, -math.inf
+        for j in range(d):
+            if j in chosen:
+                continue
+            val = smallest(chosen + [j])
+            if val > best_val:
+                best_val, best_j = val, j
+        chosen.append(best_j)
+    indices = tuple(sorted(chosen))
+    return indices, smallest(indices)
+
+
+def _selection_matrices(count):
+    stream = np.random.default_rng(17)
+    made = 0
+    while made < count:
+        k = int(stream.integers(2, 6))
+        d = int(stream.integers(k + 1, 10))
+        m = stream.standard_normal((k, d))
+        kind = made % 3
+        if kind == 1:  # rounded entries: many exactly tied subsets
+            m = np.round(m, 1)
+        elif kind == 2:  # duplicated columns
+            m[:, k:] = m[:, stream.integers(0, k, size=d - k)]
+        if numerical_rank(singular_spectrum(m)) == k:
+            made += 1
+            yield m, int(stream.integers(1, k))
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 7], ids=["one-chunk", "many-chunks"])
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_batched_selection_matches_per_subset_loop(monkeypatch, mode, chunk_entries):
+    if chunk_entries is not None:
+        monkeypatch.setattr(selection, "_CHUNK_ENTRIES", chunk_entries)
+    for m, l in _selection_matrices(120):
+        indices, s_l = ref_select(m, l, mode)
+        if s_l <= 0.0:
+            with pytest.raises(ValueError, match="singular"):
+                ri_select(m, l, mode)
+            continue
+        cert = ri_select(m, l, mode)
+        assert (cert.indices, cert.s_l_selected) == (indices, s_l)
+        assert all(type(i) is int for i in cert.indices)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmtlab.experiments import compressible_event_check
+from rmtlab.rounding import sample_lattice_shell
 from rmtlab.sphere import (
     SphereParams,
     almost_orthogonal_check,
@@ -200,3 +202,93 @@ def test_sampled_span_of_generic_plane_passes(rng):
     ok, worst = sampled_span_incompressible(vecs, 0.05, 0.05, rng, n_samples=500)
     assert ok
     assert worst > 0.05
+
+
+def test_sampled_span_refuses_zero_samples(rng):
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        sampled_span_incompressible(np.eye(4)[:, :2], 0.2, 0.3, rng, n_samples=0)
+
+
+# --- the batched sparse distance against the 0.7.0 one-vector-per-call loop ---
+
+
+def ref_dist_to_sparse(x: np.ndarray, delta: float) -> float:
+    """The 0.7.0 single-vector dist_to_sparse, kept as the bit-exact reference."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    budget = int(delta * n)
+    if budget <= 0:
+        return float(np.linalg.norm(x))
+    if budget >= n:
+        return 0.0
+    mags = np.sort(np.abs(x))
+    return float(np.linalg.norm(mags[: n - budget]))
+
+
+def _test_columns(stream, n, b):
+    kind = int(stream.integers(3))
+    x = stream.standard_normal((n, b))
+    if kind == 1:  # many exact ties
+        x = np.round(x, 1)
+    elif kind == 2:  # magnitudes spread over many octaves
+        x *= 10.0 ** stream.integers(-6, 7, size=(n, 1))
+    return x / np.maximum(np.linalg.norm(x, axis=0), 1e-300)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.3, 0.77, 1.0, 2.5],
+                         ids=["budget0", "budget-low", "budget-high", "budget-n", "budget-over-n"])
+@pytest.mark.parametrize("width", [1, 37])
+def test_batched_sparse_distance_matches_per_column_loop(delta, width):
+    stream = np.random.default_rng(int(delta * 100) + width)
+    for _ in range(40):
+        n = int(stream.integers(1, 90))
+        x = _test_columns(stream, n, width)
+        got = dist_to_sparse(x, delta)
+        assert got.shape == (width,)
+        assert got.tolist() == [ref_dist_to_sparse(x[:, j], delta) for j in range(width)]
+        assert dist_to_sparse(x[:, 0], delta) == ref_dist_to_sparse(x[:, 0], delta)
+        assert type(dist_to_sparse(x[:, 0], delta)) is float
+
+
+def test_batched_sparse_distance_rejects_three_dimensional_input():
+    with pytest.raises(ValueError, match="n x B array"):
+        dist_to_sparse(np.zeros((2, 2, 2)), 0.5)
+
+
+def ref_sample_lattice_shell(delta, d_j, n, tau, stream):
+    """The 0.7.0 shell sampler, one dist_to_sparse call per in-window proposal."""
+    top = int(math.floor(4.0 * d_j / delta))
+    lo, hi = d_j / 2.0, 4.0 * d_j
+    while True:
+        pts = stream.integers(-top, top + 1, size=(1024, n)) * delta
+        norms = np.linalg.norm(pts, axis=1)
+        for i in np.flatnonzero((norms >= lo) & (norms <= hi)):
+            if ref_dist_to_sparse(pts[i] / norms[i], tau ** 2) > tau ** 4 / 2.0:
+                return pts[i]
+
+
+@pytest.mark.parametrize("delta, d_j, n, tau", [(0.5, 2.0, 2, 0.5), (0.1, 1.0, 6, 0.9),
+                                                (0.25, 1.5, 9, 0.7)])
+def test_shell_sampler_matches_per_proposal_loop(delta, d_j, n, tau):
+    params = SphereParams(0.2, 0.3, tau=tau)
+    new, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(40):
+        got = sample_lattice_shell(delta, d_j, n, params, new)
+        assert got.tolist() == ref_sample_lattice_shell(delta, d_j, n, tau, ref).tolist()
+    assert new.integers(2 ** 62) == ref.integers(2 ** 62)
+
+
+def test_compressible_event_matches_per_column_loop():
+    stream = np.random.default_rng(21)
+    tau, outcomes = 0.5, set()
+    for _ in range(300):
+        n, l = int(stream.integers(8, 40)), int(stream.integers(1, 4))
+        x = np.eye(n)[:, stream.choice(n, l, replace=False)]
+        x = x + stream.uniform(0.0, 0.06) * stream.standard_normal((n, l))
+        x /= np.linalg.norm(x, axis=0)
+        b = np.zeros((3, n))
+        want = (almost_orthogonal_check(x, 0.25)[0]
+                and all(ref_dist_to_sparse(x[:, j], tau ** 2) <= tau ** 4 for j in range(l)))
+        assert compressible_event_check(b, x, tau) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}

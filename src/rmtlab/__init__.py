@@ -9,7 +9,7 @@ invertibility column selection, and reproducible Monte Carlo campaigns with
 exact oracles at toy scale.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import CampaignError, EstimationError, ResourceLimitError
 from .ensembles import (DistributionLaw, EntryProfile, atom_moments, discrete, gaussian,
@@ -31,9 +31,9 @@ from .selection import SelectionCertificate, projection_deficit, ri_bound_rhs, r
 from .experiments import (ExperimentConfig, KernelEventParams, compressible_event_check,
                           kernel_complement_basis, kernel_rlcd_probe,
                           kernel_tuple_event_check, norm_concentration_mc,
-                          rank_histogram_rademacher, rank_tail_exact_rademacher,
-                          rank_tail_from_table, rank_tail_mc, run_trials, scaling_fit,
-                          singular_tail_from_table, singular_tail_mc, tensorization_check,
-                          trial_matrix)
+                          rank_histogram_rademacher, rank_tail_counts,
+                          rank_tail_exact_rademacher, rank_tail_from_table, rank_tail_mc,
+                          run_trials, scaling_fit, singular_tail_from_table,
+                          singular_tail_mc, tensorization_check, trial_matrix)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

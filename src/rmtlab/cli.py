@@ -56,8 +56,8 @@ from .arithmetic import RLCDParams, rlcd_estimate
 from .ensembles import (EntryProfile, check_psi2_cap, parse_law_spec, parse_rule_key,
                         profile_from_rules, sample_matrix)
 from .errors import CampaignError
-from .experiments import (ExperimentConfig, rank_histogram_rademacher, rank_tail_from_table,
-                          run_trials, singular_tail_mc, norm_concentration_mc,
+from .experiments import (ExperimentConfig, _binomial, rank_histogram_rademacher,
+                          rank_tail_counts, singular_tail_mc, norm_concentration_mc,
                           tensorization_check)
 from .linalg import read_matrix, singular_spectrum, write_matrix
 from .rounding import RoundingParams, randomized_round, rounding_report
@@ -184,18 +184,21 @@ def normalize_campaign(campaign: CampaignFile, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _c_num(campaign, key, cast=float, default=None):
+def _c_num(campaign, key, cast=float, default=None, low=None):
     raw = campaign.get(key)
     if raw is None:
         if default is None:
             raise CampaignError(f"{campaign.kind} campaign is missing the {key} key")
         return default
+    line = campaign.values[key][1]
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
-        line = campaign.values[key][1]
         what = "an integer" if cast is int else "a number"
         raise CampaignError(f"line {line}: key {key!r} must be {what}, got {raw!r}")
+    if low is not None and not value >= low:
+        raise CampaignError(f"line {line}: key {key!r} must be at least {low}, got {raw!r}")
+    return value
 
 
 def _c_grid(campaign, key, cast=float, default=None):
@@ -310,14 +313,13 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
     if method != "mc":
         raise CampaignError(f"line {campaign.values['method'][1]}: method must be mc or "
                             f"exact, got {method!r}")
-    trials = _c_num(campaign, "trials", int)
+    trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
     config = ExperimentConfig(profile, n, max(ks), trials=trials, master_seed=campaign.seed,
                               tol=_c_tol(campaign))
-    table = run_trials(config, n_threads)
     estimates = []
-    for k in ks:
-        est, se = rank_tail_from_table(table, n, k)
+    for k, hits in zip(ks, rank_tail_counts(config, ks, n_threads)):
+        est, se = _binomial(int(hits), trials)
         estimates.append(est)
         rows.append(_row(campaign.experiment_id, n, k, None, est, se, trials,
                          campaign.seed))
@@ -329,7 +331,7 @@ def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
     n = _c_num(campaign, "n", int)
     k = _c_num(campaign, "k", int)
     eps = _c_grid(campaign, "epsilon", float)
-    trials = _c_num(campaign, "trials", int)
+    trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
     config = ExperimentConfig(profile, n, k, epsilon_grid=tuple(eps),
                               gamma=_c_num(campaign, "gamma", default=0.25),
@@ -425,7 +427,7 @@ def _run_round(campaign, out_dir, stream, rows, n_threads):
             raise CampaignError(f"line {campaign.values['vectors_file'][1]}: vectors_file "
                                 f"{vectors_file!r} has no columns")
     else:
-        v = stream.standard_normal((n, _c_num(campaign, "l", int, 1)))
+        v = stream.standard_normal((n, _c_num(campaign, "l", int, 1, low=1)))
         v /= np.linalg.norm(v, axis=0)
         v *= _c_num(campaign, "vector_scale", default=1.0)
     u = np.column_stack([randomized_round(v[:, j], params.delta, stream)
@@ -469,7 +471,7 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
 def _run_tensorize(campaign, out_dir, stream, rows, n_threads):
     n = _c_num(campaign, "n", int)
     ts = _c_grid(campaign, "t", float)
-    trials = _c_num(campaign, "trials", int, 100_000)
+    trials = _c_num(campaign, "trials", int, 100_000, low=1)
     probs, bounds = [], []
     for t in ts:
         prob, bound = tensorization_check(n, t, trials=trials, stream=stream)
@@ -492,7 +494,7 @@ def _run_norms(campaign, out_dir, stream, rows, n_threads):
     except ValueError as exc:
         raise CampaignError(f"line {campaign.values['profile'][1]}: {exc}")
     n_grid = _c_grid(campaign, "n", int)
-    trials = _c_num(campaign, "trials", int)
+    trials = _c_num(campaign, "trials", int, low=1)
     table = norm_concentration_mc(law, n_grid, trials, stream,
                                   c_op=_c_num(campaign, "c_op", default=3.0),
                                   c_hs=_c_num(campaign, "c_hs", default=1.0))

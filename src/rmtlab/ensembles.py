@@ -346,6 +346,29 @@ class EntryProfile:
         return tuple(np.flatnonzero(flat == c) for c in range(len(self.laws)))
 
     @cached_property
+    def integer_scale(self) -> np.ndarray | None:
+        """Positive scales under which every atom of every cell becomes -1, 0 or 1, or None.
+
+        An (n_rows, 1) array, one scale per row, when the laws of each row share one
+        nonzero atom magnitude; otherwise a (1, n_cols) array, one per column, when the
+        laws of each column do; otherwise None.  Only rademacher and sparse-bernoulli laws
+        qualify, so gaussian, uniform and discrete laws give None.  For any sample A,
+        ``np.rint(A * integer_scale)`` is its {-1, 0, 1} pattern M, and A is M times the
+        laws' nonzero atom magnitudes (the scales are their reciprocals) along that axis,
+        exactly.  Built on first use.
+        """
+        if any(law.kind not in ("rademacher", "sparse-bernoulli") for law in self.laws):
+            return None
+        units = np.array([max(law.atoms) for law in self.laws])[self.codes]
+        for axis in (1, 0):
+            first = units.take([0], axis)
+            if np.all(units == first):
+                scale = 1.0 / first
+                scale.flags.writeable = False
+                return scale
+        return None
+
+    @cached_property
     def lattice_plan(self) -> "LatticePlan":
         """Distinct columns with their law groups, built on first use and kept on the profile."""
         distinct: dict[bytes, int] = {}

@@ -10,6 +10,11 @@ All tail estimates are computed from trial tables, so different thresholds
 (k values, epsilon values) share the same samples and the nesting of the
 underlying events holds exactly in the estimates, not just in expectation.
 
+Rank tails of rademacher and sparse-bernoulli profiles skip most of the SVD
+work: :func:`rank_tail_counts` classifies each block by one batched
+determinant of its integer patterns and returns the counts the trial table
+would give.
+
 Exact oracles anchor the Monte Carlo machinery: the rank histogram of all
 n x n sign matrices for n <= 6 (symmetry classes, one batched SVD per chunk
 of them, a cutoff that provably separates zero singular values) and
@@ -44,6 +49,8 @@ __all__ = [
     "singular_tail_from_table",
     "rank_histogram_rademacher",
     "rank_tail_exact_rademacher",
+    "DET_RANK_MAX_N",
+    "rank_tail_counts",
     "rank_tail_mc",
     "singular_tail_mc",
     "tensorization_check",
@@ -60,6 +67,9 @@ TRIAL_BLOCK = 256
 
 #: Symmetry classes per batched SVD in :func:`rank_histogram_rademacher`.
 EXACT_CHUNK = 16_384
+
+#: Largest n at which :func:`rank_tail_counts` may classify by determinant (see its proof).
+DET_RANK_MAX_N = 14
 
 TRIAL_DTYPE = np.dtype([
     ("s_largest", np.float64),
@@ -140,6 +150,22 @@ def trial_matrix(config: ExperimentConfig, i: int) -> np.ndarray:
     return _block_matrices(config, i // TRIAL_BLOCK)[i % TRIAL_BLOCK]
 
 
+def _map_blocks(config: ExperimentConfig, do_block, n_threads: int) -> None:
+    """Call do_block(b) for every block b of config, on n_threads threads."""
+    blocks = range(-(-config.trials // TRIAL_BLOCK))
+    if n_threads > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(do_block, blocks))
+    else:
+        for block in blocks:
+            do_block(block)
+
+
+def _auto_tol(svals: np.ndarray) -> np.ndarray:
+    """The default rank cutoff per matrix: n eps times its largest singular value."""
+    return svals.shape[1] * np.finfo(float).eps * svals[:, 0]
+
+
 def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
     """Sample config.trials matrices and record their spectrum summaries.
 
@@ -156,21 +182,14 @@ def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
         start = block * TRIAL_BLOCK
         svals = np.linalg.svd(_block_matrices(config, block), compute_uv=False)
         rows = out[start:start + svals.shape[0]]
-        tol = (np.full(rows.size, config.tol) if config.tol is not None
-               else n * np.finfo(float).eps * svals[:, 0])
+        tol = np.full(rows.size, config.tol) if config.tol is not None else _auto_tol(svals)
         rows["s_largest"] = svals[:, 0]
         rows["s_kth_smallest"] = svals[:, n - k] if k >= 1 else np.nan
         rows["s_smallest"] = svals[:, -1]
         rows["rank_at_tol"] = np.sum(svals > tol[:, None], axis=1)
         rows["tol_used"] = tol
 
-    blocks = range(-(-config.trials // TRIAL_BLOCK))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(do_block, blocks))
-    else:
-        for block in blocks:
-            do_block(block)
+    _map_blocks(config, do_block, n_threads)
     return out
 
 
@@ -196,10 +215,101 @@ def singular_tail_from_table(table: np.ndarray, n: int, epsilon: float) -> tuple
     return _binomial(hits, table.size)
 
 
+def _integer_ranks(mats: np.ndarray, scale: np.ndarray, svd_singular: bool) -> np.ndarray:
+    """Ranks at the default tolerance of matrices whose entries times scale are -1, 0 or 1.
+
+    A matrix whose pattern rint(scale A) has |det| >= 1/2 gets rank n.  The others get
+    the rank run_trials gives them, from one batched SVD of the matrices themselves,
+    when ``svd_singular``, and n - 1 otherwise.  :func:`rank_tail_counts` proves it.
+    """
+    n = mats.shape[-1]
+    singular = np.abs(np.linalg.det(np.rint(mats * scale))) < 0.5
+    ranks = np.where(singular, n - 1, n)
+    if svd_singular and singular.any():
+        svals = np.linalg.svd(mats[singular], compute_uv=False)
+        ranks[singular] = np.sum(svals > _auto_tol(svals)[:, None], axis=1)
+    return ranks
+
+
+def _det_route_scale(config: ExperimentConfig) -> np.ndarray | None:
+    """The profile's integer scale where :func:`rank_tail_counts` proves its route, else None."""
+    n, scale = config.n, config.profile.integer_scale
+    if config.tol is not None or n > DET_RANK_MAX_N or scale is None:
+        return None
+    kappa = scale.max() / scale.min()
+    if kappa * 2 ** 10 * n * n * np.finfo(float).eps > ((n - 1) / n ** 2) ** ((n - 1) / 2):
+        return None
+    return scale
+
+
+def rank_tail_counts(config: ExperimentConfig, ks, n_threads: int = 1) -> np.ndarray:
+    """For each k in ``ks``, the number of trials with rank at tolerance <= n - k.
+
+    The counts are those of ``run_trials(config, n_threads)["rank_at_tol"]``, from the
+    same blocks, streams and block-to-thread mapping.  The determinant route skips the
+    SVD where it can.  It runs when the profile has an
+    :attr:`~rmtlab.ensembles.EntryProfile.integer_scale` d, ``config.tol`` is None,
+    n <= ``DET_RANK_MAX_N`` and kappa = max(d)/min(d) satisfies
+    kappa 2^10 n^2 eps <= ((n-1)/n^2)^((n-1)/2).  It then takes one batched
+    ``np.linalg.det`` per block of the patterns M = rint(d A).  A trial with
+    |det M| >= 1/2 has rank n.  The other trials get the batched SVD with run_trials'
+    tolerance rule, or, when every k is at most 1, count as rank below n without one.
+    Every other case runs run_trials.  The route is exact: write A = D M with D the
+    diagonal of the atoms' magnitudes 1/d (A = M D for column scales), exact because
+    every sampled entry is an atom, and M in {-1, 0, 1}^(n x n).
+
+    - The determinant decides whether M is singular.  numpy's det is LU with partial
+      pivoting, then sign * exp(sum log|u_ii|).  The computed factors satisfy
+      L U = P M + E with |E| <= gamma_n |L||U| (Higham, Accuracy and Stability of
+      Numerical Algorithms, Thm 9.3, for any order of the elimination).  With
+      |l_ij| <= 1 and row k of U at most 2^(k-1) (1 + gamma_n)^k, every row of E has
+      norm at most eta = 1.01 sqrt(n) gamma_n 2^n.  det is linear in each row, and
+      Hadamard's inequality bounds every term of that expansion, so
+      |det(P M + E) - det(P M)| <= (sqrt(n) + eta)^n - n^(n/2).  The logs and the exp
+      add a relative error below 2e-11, since each |log|u_ii|| <= 745.  The total is
+      below 0.05 at n = 14 and above 1/2 at n = 15, where the proof stops.  det M is an
+      integer, so the computed |det| is at least 1/2 exactly when M, and hence A, is
+      nonsingular.
+    - A nonsingular M gives SVD rank n.  |det M| >= 1 and the sigma_i(M)^2 sum to at
+      most n^2, so by AM-GM sigma_n(M) >= ((n-1)/n^2)^((n-1)/2).  With
+      sigma_1(M) <= n, sigma_n(A)/sigma_1(A) >= sigma_n(M)/(n kappa) >= 2^10 n eps.
+      Any SVD whose singular values lie within 1000 n eps sigma_1 of the exact ones
+      (LAPACK's bound is a modest multiple of eps sigma_1) then leaves sigma_n above
+      n eps times its sigma_1, the run_trials tolerance.
+    - A singular M gives sigma_n(A) = 0, so the route counts exactly the trials with
+      rank A < n.  The SVD counts the same trials as long as its error on a zero
+      singular value stays below n eps sigma_1, the premise of any SVD rank at that
+      tolerance.  That side is checked, on every n = 6 sign-matrix class and on
+      samples at n = 6..12, not proven.
+    """
+    n, ks = config.n, list(ks)
+    if any(not 0 <= k <= n for k in ks):
+        raise ValueError(f"every k must lie in [0, {n}], got {ks}")
+    scale = _det_route_scale(config)
+    if scale is None:
+        ranks = run_trials(config, n_threads)["rank_at_tol"]
+    else:
+        ranks = np.empty(config.trials, np.int64)
+        svd_singular = any(k > 1 for k in ks)
+
+        def do_block(block: int) -> None:
+            mats = _block_matrices(config, block)
+            start = block * TRIAL_BLOCK
+            ranks[start:start + mats.shape[0]] = _integer_ranks(mats, scale, svd_singular)
+
+        _map_blocks(config, do_block, n_threads)
+    return np.array([int(np.sum(ranks <= n - k)) for k in ks], dtype=np.int64)
+
+
 def rank_tail_mc(config: ExperimentConfig, n_threads: int = 1) -> tuple[float, float]:
-    """Monte Carlo estimate of P(rank <= n - k) with binomial standard error."""
-    table = run_trials(config, n_threads)
-    return rank_tail_from_table(table, config.n, config.k)
+    """Monte Carlo estimate of P(rank <= n - k) with binomial standard error.
+
+    The hits are ``rank_tail_counts(config, [config.k])``: for a rademacher or
+    sparse-bernoulli profile with ``tol`` unset and n <= ``DET_RANK_MAX_N``, trials are
+    classified by one batched determinant per block, and only singular ones see an SVD
+    (none when k <= 1).  The estimate equals the one :func:`run_trials` gives.
+    """
+    return _binomial(int(rank_tail_counts(config, [config.k], n_threads)[0]), config.trials)
 
 
 def singular_tail_mc(config: ExperimentConfig, comparison_c: float = 1.0,
@@ -282,6 +392,8 @@ def tensorization_check(n: int, t: float, trials: int = 100_000,
         raise ValueError(f"n must lie in [1, 20], got {n}")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if n * t <= 1.0:
         prob = (n * t) ** n / math.factorial(n)
     else:
@@ -303,6 +415,8 @@ def norm_concentration_mc(law: DistributionLaw, n_grid, trials: int,
     """
     if math.isinf(law.support_bound()):
         raise ValueError("the operator-norm check needs a bounded entry law")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     n_grid = list(n_grid)
     rows = np.empty(len(n_grid), NORM_DTYPE)
     for i, n in enumerate(n_grid):

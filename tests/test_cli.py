@@ -412,6 +412,24 @@ def test_norms_campaign(tmp_path):
     assert os.path.exists(os.path.join(out, "norms.hsnorm.tsv"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("kind = norms\nseed = 7\nprofile = rademacher\nn = 3\ntrials = 0\n",
+     "line 5: key 'trials' must be at least 1, got '0'"),
+    ("kind = tensorize\nseed = 6\nn = 3\nt = 0.5\ntrials = 0\n",
+     "line 5: key 'trials' must be at least 1, got '0'"),
+    ("kind = round\nseed = 1\nn = 4\nl = 0\ndelta = 0.1\nrho = 0.3\nprofile = rademacher\n",
+     "line 4: key 'l' must be at least 1, got '0'"),
+    ("kind = round\nseed = 1\nn = 4\nl = -2\ndelta = 0.1\nrho = 0.3\nprofile = rademacher\n",
+     "line 4: key 'l' must be at least 1, got '-2'"),
+    ("kind = rank-tail\nseed = 1\nn = 3\nk = 1\ntrials = 0\nprofile = rademacher\n",
+     "line 5: key 'trials' must be at least 1, got '0'"),
+], ids=["norms-trials", "tensorize-trials", "round-l-zero", "round-l-negative",
+        "rank-tail-trials"])
+def test_counts_below_one_fail_with_their_line(tmp_path, capsys, text, message):
+    assert run_campaign(parse_campaign(text), out_dir=str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_norms_campaign_rejects_law_rules():
     with pytest.raises(CampaignError, match="line 4: kind = norms takes no law"):
         parse_campaign("kind = norms\nseed = 7\nprofile = rademacher\nlaw.0.0 = gaussian\n"

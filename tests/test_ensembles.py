@@ -298,6 +298,39 @@ def test_profile_rules_reject_gaps_and_bad_indices():
         profile_from_rules(parse_profile_rules(["law.3.0 = gaussian"]), 1, 1, k_cap=2.0)
 
 
+@pytest.mark.parametrize("rules", [
+    ["law.*.* = gaussian"],
+    ["law.*.* = uniform"],
+    ["law.*.* = discrete(-1:0.5,1:0.5)"],  # sign atoms, but a discrete law
+    ["law.*.* = rademacher", "law.0.0 = gaussian"],
+    ["law.*.* = rademacher", "law.0.0 = sparse-bernoulli(0.3)"],  # neither rows nor columns
+], ids=["gaussian", "uniform", "discrete", "one-gaussian-cell", "one-sparse-cell"])
+def test_integer_scale_is_none_without_a_sign_pattern(rules):
+    prof = profile_from_rules(parse_profile_rules(rules), 4, 4, k_cap=3.0)
+    assert prof.integer_scale is None
+
+
+@pytest.mark.parametrize("rules, shape", [
+    (["law.*.* = rademacher"], (4, 1)),
+    (["law.*.* = rademacher", "law.1.* = sparse-bernoulli(0.3)",
+      "law.3.* = sparse-bernoulli(0.1)"], (4, 1)),
+    (["law.*.* = rademacher", "law.0.2 = sparse-bernoulli(1)"], (4, 1)),  # equal magnitudes
+    (["law.*.* = rademacher", "law.*.1 = sparse-bernoulli(0.3)",
+      "law.*.2 = sparse-bernoulli(0.5)"], (1, 4)),  # only columns share a magnitude
+], ids=["rademacher", "mixed-rows", "sparse-p1", "mixed-columns"])
+def test_integer_scale_maps_samples_to_their_sign_patterns(rules, shape, rng):
+    prof = profile_from_rules(parse_profile_rules(rules), 4, 4, k_cap=3.0)
+    scale = prof.integer_scale
+    assert scale.shape == shape and not scale.flags.writeable
+    assert prof.integer_scale is scale  # built once
+    mats = sample_matrix(prof, rng, 50)
+    pattern = np.rint(mats * scale)
+    assert set(np.unique(pattern)) <= {-1.0, 0.0, 1.0}
+    magnitude = np.array([[max(prof.law(i, j).atoms) for j in range(4)] for i in range(4)])
+    np.testing.assert_array_equal(pattern * magnitude, mats)
+    np.testing.assert_allclose(scale * magnitude, 1.0, rtol=1e-15)
+
+
 # --- matrix sampling ---
 
 

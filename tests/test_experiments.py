@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -5,11 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rmtlab import experiments
 from rmtlab.arithmetic import RLCDParams
-from rmtlab.ensembles import (EntryProfile, gaussian, parse_profile_rules, profile_from_rules,
-                              rademacher, sample_matrix, sparse_bernoulli, uniform_scaled)
+from rmtlab.ensembles import (EntryProfile, discrete, gaussian, parse_law_spec,
+                              parse_profile_rules, profile_from_rules, rademacher,
+                              sample_matrix, sparse_bernoulli, uniform_scaled)
 from rmtlab.errors import ResourceLimitError
 from rmtlab.experiments import (
+    DET_RANK_MAX_N,
     ExperimentConfig,
     KernelEventParams,
     TRIAL_BLOCK,
@@ -21,6 +25,7 @@ from rmtlab.experiments import (
     norm_concentration_mc,
     rank_histogram_rademacher,
     rank_tail_exact_rademacher,
+    rank_tail_counts,
     rank_tail_from_table,
     rank_tail_mc,
     run_trials,
@@ -225,6 +230,107 @@ def test_rank_tail_mc_matches_exact_oracle():
     assert abs(est - 0.5) <= 4 * se
 
 
+# --- rank by determinant ---
+
+
+def _alternating_config(n, k, p=0.1, k_cap=3.0, **kwargs):
+    """Rows alternate rademacher and sparse-bernoulli(p), starting with rademacher."""
+    rules = ["law.*.* = rademacher"] + [f"law.{i}.* = sparse-bernoulli({p})"
+                                        for i in range(1, n, 2)]
+    prof = profile_from_rules(parse_profile_rules(rules), n, n, k_cap=k_cap)
+    return ExperimentConfig(prof, n, k, **kwargs)
+
+
+def _table_counts(table, n, ks):
+    return [int(np.sum(table["rank_at_tol"] <= n - k)) for k in ks]
+
+
+def _det_error_bound(n):
+    """The rank_tail_counts bound on |computed det - det M| for M in {-1, 0, 1}^(n x n)."""
+    u = 2.0 ** -53
+    gamma = n * u / (1.0 - n * u)
+    eta = 1.01 * math.sqrt(n) * gamma * 2.0 ** n
+    top = (math.sqrt(n) + eta) ** n
+    theta = math.expm1((2.0 * u + gamma) * 745.0 * n) + 2.0 * u  # logs, sum and exp
+    return top - n ** (n / 2) + theta * top, theta
+
+
+def test_det_rank_max_n_is_where_the_error_bound_stops():
+    bound, theta = _det_error_bound(DET_RANK_MAX_N)
+    assert bound < 0.05 and theta < 2e-11
+    assert _det_error_bound(DET_RANK_MAX_N + 1)[0] > 0.5
+
+
+def test_det_route_splits_every_n6_sign_class_like_the_svd():
+    # the classes of rank_histogram_rademacher: first row and column +1, rows 2..n a
+    # multiset of the 2^(n-1) patterns
+    n = 6
+    patterns = 1.0 - 2.0 * ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    classes = itertools.combinations_with_replacement(range(patterns.shape[0]), n - 1)
+    seen = disagree = 0
+    while chunk := list(itertools.islice(classes, 16_384)):
+        mats = np.concatenate([np.ones((len(chunk), 1, n)), patterns[np.array(chunk)]], axis=1)
+        by_det = experiments._integer_ranks(mats, np.ones((n, 1)), svd_singular=False) == n
+        svals = np.linalg.svd(mats, compute_uv=False)
+        by_svd = np.sum(svals > n * np.finfo(float).eps * svals[:, :1], axis=1) == n
+        disagree += int(np.sum(by_det != by_svd))
+        seen += len(chunk)
+    assert seen == 376_992
+    assert disagree == 0
+
+
+@pytest.mark.parametrize("law", ["rademacher", "sparse-bernoulli(0.3)",
+                                 "sparse-bernoulli(0.5)", "alternating"])
+@pytest.mark.parametrize("n", range(6, 13))
+def test_rank_tail_counts_equal_the_trial_table(n, law):
+    kwargs = dict(trials=5 * TRIAL_BLOCK + 77, master_seed=1000 + n)
+    cfg = (_alternating_config(n, 1, **kwargs) if law == "alternating"
+           else _config(n, 1, law=parse_law_spec(law), **kwargs))
+    assert experiments._det_route_scale(cfg) is not None
+    table = run_trials(cfg)
+    for ks in ([1], [1, 2], [1, 2, 3]):
+        want = _table_counts(table, n, ks)
+        for threads in (1, 2):
+            assert rank_tail_counts(cfg, ks, n_threads=threads).tolist() == want, (ks, threads)
+    assert rank_tail_mc(cfg) == rank_tail_from_table(table, n, 1)
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda: _config(6, 2, trials=700, master_seed=31, tol=0.5),
+    lambda: _config(6, 2, law=gaussian(), trials=700, master_seed=32),
+    lambda: _config(6, 2, law=discrete([-1.0, 1.0], [0.5, 0.5]), trials=700, master_seed=33),
+    lambda: _config(DET_RANK_MAX_N + 1, 2, trials=700, master_seed=34),
+    lambda: _alternating_config(DET_RANK_MAX_N, 2, p=1e-6, k_cap=300.0, trials=700,
+                                master_seed=35),
+], ids=["explicit-tol", "gaussian", "discrete", "above-range", "ill-scaled-rows"])
+def test_rank_tail_counts_fall_back_to_the_trial_table(make_config, monkeypatch):
+    cfg = make_config()
+    table = run_trials(cfg)
+
+    def no_det_route(*args):
+        raise AssertionError("the determinant route ran")
+
+    monkeypatch.setattr(experiments, "_integer_ranks", no_det_route)
+    for ks in ([1], [0, 1, 2]):
+        assert rank_tail_counts(cfg, ks, n_threads=2).tolist() == _table_counts(table, cfg.n, ks)
+    assert rank_tail_mc(cfg) == rank_tail_from_table(table, cfg.n, 2)
+
+
+def test_rank_tail_counts_skip_the_svd_when_every_k_is_at_most_one(monkeypatch):
+    cfg = _alternating_config(8, 1, trials=3 * TRIAL_BLOCK, master_seed=41)
+    table = run_trials(cfg)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert rank_tail_counts(cfg, [0, 1]).tolist() == _table_counts(table, 8, [0, 1])
+    with pytest.raises(AssertionError, match="the SVD ran"):
+        rank_tail_counts(cfg, [1, 2])
+    with pytest.raises(ValueError, match="every k must lie in"):
+        rank_tail_counts(cfg, [9])
+
+
 def test_tail_monotonicity_on_shared_table():
     cfg = _config(4, 2, epsilon_grid=(0.0, 0.3, 0.8, 1.5), trials=3000, master_seed=6)
     table = run_trials(cfg)
@@ -298,6 +404,13 @@ def test_tensorization_validation():
 
 
 # --- norm thresholds ---
+
+
+def test_tensorization_and_norm_checks_refuse_zero_trials():
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        tensorization_check(3, 0.5, trials=0)
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        norm_concentration_mc(rademacher(), [3], 0, np.random.default_rng(0))
 
 
 def test_norm_concentration_rejects_unbounded():

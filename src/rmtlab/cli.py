@@ -14,9 +14,9 @@ each kind takes only the keys it reads (``law`` for ``law.<i>.<j>`` rules,
 P for ``k_cap, profile, law``); any other key or rule fails with its line:
 
 - sample: n, P; with rows: rows, cols, P
-- rank-tail: n, k, method, trials, tol, P; with method = exact: n, k,
-  method, profile (rademacher only)
-- singular-tail: n, k, epsilon, trials, gamma, tol, comparison_c, P
+- rank-tail: n, k, method, trials, P; with method = exact: n, k, method,
+  profile (rademacher only)
+- singular-tail: n, k, epsilon, trials, gamma, comparison_c, P
 - rlcd: n, L, alpha, radius_cap, resolution, mc_trials, basis, columns,
   directions, P
 - round: n, l, delta, rho, tau, r, c_op, mc_trials, vector_scale, P; with
@@ -75,9 +75,9 @@ _ID_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
 _KIND_KEYS = {
     ("sample", ""): "n k_cap profile law",
     ("sample", "rows"): "rows cols k_cap profile law",
-    ("rank-tail", ""): "n k method trials tol k_cap profile law",
+    ("rank-tail", ""): "n k method trials k_cap profile law",
     ("rank-tail", "method = exact"): "n k method profile",
-    ("singular-tail", ""): "n k epsilon trials gamma tol comparison_c k_cap profile law",
+    ("singular-tail", ""): "n k epsilon trials gamma comparison_c k_cap profile law",
     ("rlcd", ""): "n L alpha radius_cap resolution mc_trials basis columns directions "
                   "k_cap profile law",
     ("round", ""): "n l delta rho tau r c_op mc_trials vector_scale k_cap profile law",
@@ -219,10 +219,6 @@ def _c_grid(campaign, key, cast=float, default=None):
     return items
 
 
-def _c_tol(campaign):
-    return None if campaign.get("tol", "auto") == "auto" else _c_num(campaign, "tol")
-
-
 def _build_profile(campaign, n_rows: int, n_cols: int) -> EntryProfile:
     k_cap = _c_num(campaign, "k_cap", default=2.0)
     if not k_cap > 0.0:
@@ -278,10 +274,10 @@ def _write_tsv(path: str, xs, ys) -> None:
 
 def _run_sample(campaign, out_dir, stream, rows, n_threads):
     if campaign.get("rows") is not None:
-        n_rows = _c_num(campaign, "rows", int)
-        n_cols = _c_num(campaign, "cols", int, n_rows)
+        n_rows = _c_num(campaign, "rows", int, low=1)
+        n_cols = _c_num(campaign, "cols", int, n_rows, low=1)
     else:
-        n_rows = n_cols = _c_num(campaign, "n", int)
+        n_rows = n_cols = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n_rows, n_cols)
     mat = sample_matrix(profile, stream)
     write_matrix(os.path.join(out_dir, f"{campaign.experiment_id}.matrix.csv"), mat)
@@ -291,7 +287,7 @@ def _run_sample(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
-    n = _c_num(campaign, "n", int)
+    n = _c_num(campaign, "n", int, low=1)
     ks = _c_grid(campaign, "k", int)
     bad = [k for k in ks if not 0 <= k <= n]
     if bad:
@@ -315,8 +311,7 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
                             f"exact, got {method!r}")
     trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
-    config = ExperimentConfig(profile, n, max(ks), trials=trials, master_seed=campaign.seed,
-                              tol=_c_tol(campaign))
+    config = ExperimentConfig(profile, n, max(ks), trials=trials, master_seed=campaign.seed)
     estimates = []
     for k, hits in zip(ks, rank_tail_counts(config, ks, n_threads)):
         est, se = _binomial(int(hits), trials)
@@ -328,15 +323,14 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
-    n = _c_num(campaign, "n", int)
+    n = _c_num(campaign, "n", int, low=1)
     k = _c_num(campaign, "k", int)
     eps = _c_grid(campaign, "epsilon", float)
     trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
     config = ExperimentConfig(profile, n, k, epsilon_grid=tuple(eps),
                               gamma=_c_num(campaign, "gamma", default=0.25),
-                              trials=trials, master_seed=campaign.seed,
-                              tol=_c_tol(campaign))
+                              trials=trials, master_seed=campaign.seed)
     tail = singular_tail_mc(config, comparison_c=_c_num(campaign, "comparison_c", default=1.0),
                             n_threads=n_threads)
     for entry in tail:
@@ -350,7 +344,7 @@ def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
-    n = _c_num(campaign, "n", int)
+    n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
     params = RLCDParams(L=_c_num(campaign, "L"), alpha=_c_num(campaign, "alpha"),
                         radius_cap=_c_num(campaign, "radius_cap"),
@@ -409,7 +403,7 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_round(campaign, out_dir, stream, rows, n_threads):
-    n = _c_num(campaign, "n", int)
+    n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
     params = RoundingParams(delta=_c_num(campaign, "delta"),
                             rho=_c_num(campaign, "rho"),
@@ -441,7 +435,7 @@ def _run_round(campaign, out_dir, stream, rows, n_threads):
         for line in report.csv_rows():
             fh.write(line + "\n")
     passed = sum(1 for c in report.checks if c.passed)
-    rows.append(_row(campaign.experiment_id, n, None, None, passed / 7.0, None, 1,
+    rows.append(_row(campaign.experiment_id, n, None, None, passed / len(report.checks), None, 1,
                      campaign.seed))
 
 
@@ -453,8 +447,8 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
             raise CampaignError(f"line {campaign.values['matrix_file'][1]}: matrix_file "
                                 f"{matrix_file!r} has no rows")
     else:
-        n_rows = _c_num(campaign, "rows", int)
-        n_cols = _c_num(campaign, "cols", int)
+        n_rows = _c_num(campaign, "rows", int, low=1)
+        n_cols = _c_num(campaign, "cols", int, low=1)
         profile = _build_profile(campaign, n_rows, n_cols)
         mat = sample_matrix(profile, stream)
     l = _c_num(campaign, "l", int)
@@ -469,7 +463,7 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
 
 
 def _run_tensorize(campaign, out_dir, stream, rows, n_threads):
-    n = _c_num(campaign, "n", int)
+    n = _c_num(campaign, "n", int, low=1)
     ts = _c_grid(campaign, "t", float)
     trials = _c_num(campaign, "trials", int, 100_000, low=1)
     probs, bounds = [], []
@@ -494,6 +488,9 @@ def _run_norms(campaign, out_dir, stream, rows, n_threads):
     except ValueError as exc:
         raise CampaignError(f"line {campaign.values['profile'][1]}: {exc}")
     n_grid = _c_grid(campaign, "n", int)
+    if n_grid[0] < 1:
+        raise CampaignError(f"line {campaign.values['n'][1]}: key 'n' must list sizes of "
+                            f"at least 1, got {n_grid[0]}")
     trials = _c_num(campaign, "trials", int, low=1)
     table = norm_concentration_mc(law, n_grid, trials, stream,
                                   c_op=_c_num(campaign, "c_op", default=3.0),

@@ -1,7 +1,8 @@
 """Monte Carlo campaigns and exact oracles for rank and singular-value tails.
 
 The heart of the module is a trial table: one row per sampled matrix with
-its spectrum summary and rank at tolerance.  Trials run in blocks of
+its spectrum summary and its rank at the cutoff n eps s_1 (machine epsilon
+times n times the largest singular value).  Trials run in blocks of
 ``TRIAL_BLOCK``; block b draws all of its matrices in one vectorized call
 from a stream spawned off the master seed with spawn key (b,), so a table
 depends only on the config, never on the thread count, and
@@ -76,7 +77,6 @@ TRIAL_DTYPE = np.dtype([
     ("s_kth_smallest", np.float64),
     ("s_smallest", np.float64),
     ("rank_at_tol", np.int64),
-    ("tol_used", np.float64),
 ])
 
 TAIL_DTYPE = np.dtype([
@@ -100,8 +100,7 @@ class ExperimentConfig:
     """One Monte Carlo campaign: ensemble, thresholds, budget, seed.
 
     ``k`` indexes the k-th smallest singular value (k = 0 degenerates to the
-    always-true rank event and is allowed for rank tails only).  ``tol`` is
-    the numerical-rank cutoff; None means the scale-aware per-trial default.
+    always-true rank event and is allowed for rank tails only).
     """
 
     profile: EntryProfile
@@ -111,7 +110,6 @@ class ExperimentConfig:
     gamma: float = 0.25
     trials: int = 1
     master_seed: int = 0
-    tol: float | None = None
 
     def __post_init__(self):
         if self.profile.n_rows != self.n or self.profile.n_cols != self.n:
@@ -131,8 +129,6 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed must fit in 64 bits")
-        if self.tol is not None and self.tol <= 0.0:
-            raise ValueError("tol must be positive when given")
 
 
 def _block_matrices(config: ExperimentConfig, block: int) -> np.ndarray:
@@ -161,9 +157,9 @@ def _map_blocks(config: ExperimentConfig, do_block, n_threads: int) -> None:
             do_block(block)
 
 
-def _auto_tol(svals: np.ndarray) -> np.ndarray:
-    """The default rank cutoff per matrix: n eps times its largest singular value."""
-    return svals.shape[1] * np.finfo(float).eps * svals[:, 0]
+def _rank_cutoff(n: int, s_largest: np.ndarray) -> np.ndarray:
+    """The rank cutoff of n x n matrices: n eps times their largest singular values."""
+    return n * np.finfo(float).eps * s_largest
 
 
 def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
@@ -182,12 +178,10 @@ def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
         start = block * TRIAL_BLOCK
         svals = np.linalg.svd(_block_matrices(config, block), compute_uv=False)
         rows = out[start:start + svals.shape[0]]
-        tol = np.full(rows.size, config.tol) if config.tol is not None else _auto_tol(svals)
         rows["s_largest"] = svals[:, 0]
         rows["s_kth_smallest"] = svals[:, n - k] if k >= 1 else np.nan
         rows["s_smallest"] = svals[:, -1]
-        rows["rank_at_tol"] = np.sum(svals > tol[:, None], axis=1)
-        rows["tol_used"] = tol
+        rows["rank_at_tol"] = np.sum(svals > _rank_cutoff(n, svals[:, :1]), axis=1)
 
     _map_blocks(config, do_block, n_threads)
     return out
@@ -199,24 +193,25 @@ def _binomial(hits: int, trials: int) -> tuple[float, float]:
 
 
 def rank_tail_from_table(table: np.ndarray, n: int, k: int) -> tuple[float, float]:
-    """Fraction of recorded trials with rank at tolerance <= n - k."""
+    """Fraction of recorded trials with rank at the cutoff <= n - k."""
     hits = int(np.sum(table["rank_at_tol"] <= n - k))
     return _binomial(hits, table.size)
 
 
 def singular_tail_from_table(table: np.ndarray, n: int, epsilon: float) -> tuple[float, float]:
-    """Fraction of trials with the k-th smallest singular value <= max(eps/sqrt(n), tol).
+    """Fraction of trials with the k-th smallest singular value <= epsilon/sqrt(n).
 
-    Clamping at the rank tolerance makes the epsilon = 0 column coincide
-    exactly with the rank-tail event on the same table.
+    The threshold is clamped from below at each trial's rank cutoff, so the
+    epsilon = 0 column coincides exactly with the rank-tail event on the same
+    table.  A threshold tau above the cutoff is epsilon = tau sqrt(n).
     """
-    thresh = np.maximum(epsilon / math.sqrt(n), table["tol_used"])
+    thresh = np.maximum(epsilon / math.sqrt(n), _rank_cutoff(n, table["s_largest"]))
     hits = int(np.sum(table["s_kth_smallest"] <= thresh))
     return _binomial(hits, table.size)
 
 
 def _integer_ranks(mats: np.ndarray, scale: np.ndarray, svd_singular: bool) -> np.ndarray:
-    """Ranks at the default tolerance of matrices whose entries times scale are -1, 0 or 1.
+    """Ranks at the cutoff of matrices whose entries times scale are -1, 0 or 1.
 
     A matrix whose pattern rint(scale A) has |det| >= 1/2 gets rank n.  The others get
     the rank run_trials gives them, from one batched SVD of the matrices themselves,
@@ -227,14 +222,14 @@ def _integer_ranks(mats: np.ndarray, scale: np.ndarray, svd_singular: bool) -> n
     ranks = np.where(singular, n - 1, n)
     if svd_singular and singular.any():
         svals = np.linalg.svd(mats[singular], compute_uv=False)
-        ranks[singular] = np.sum(svals > _auto_tol(svals)[:, None], axis=1)
+        ranks[singular] = np.sum(svals > _rank_cutoff(n, svals[:, :1]), axis=1)
     return ranks
 
 
 def _det_route_scale(config: ExperimentConfig) -> np.ndarray | None:
     """The profile's integer scale where :func:`rank_tail_counts` proves its route, else None."""
     n, scale = config.n, config.profile.integer_scale
-    if config.tol is not None or n > DET_RANK_MAX_N or scale is None:
+    if n > DET_RANK_MAX_N or scale is None:
         return None
     kappa = scale.max() / scale.min()
     if kappa * 2 ** 10 * n * n * np.finfo(float).eps > ((n - 1) / n ** 2) ** ((n - 1) / 2):
@@ -243,20 +238,20 @@ def _det_route_scale(config: ExperimentConfig) -> np.ndarray | None:
 
 
 def rank_tail_counts(config: ExperimentConfig, ks, n_threads: int = 1) -> np.ndarray:
-    """For each k in ``ks``, the number of trials with rank at tolerance <= n - k.
+    """For each k in ``ks``, the number of trials with rank at the cutoff <= n - k.
 
     The counts are those of ``run_trials(config, n_threads)["rank_at_tol"]``, from the
-    same blocks, streams and block-to-thread mapping.  The determinant route skips the
-    SVD where it can.  It runs when the profile has an
-    :attr:`~rmtlab.ensembles.EntryProfile.integer_scale` d, ``config.tol`` is None,
-    n <= ``DET_RANK_MAX_N`` and kappa = max(d)/min(d) satisfies
+    same blocks and streams.  The determinant route skips the SVD where it can.  It
+    runs when the profile has an :attr:`~rmtlab.ensembles.EntryProfile.integer_scale`
+    d, n <= ``DET_RANK_MAX_N`` and kappa = max(d)/min(d) satisfies
     kappa 2^10 n^2 eps <= ((n-1)/n^2)^((n-1)/2).  It then takes one batched
     ``np.linalg.det`` per block of the patterns M = rint(d A).  A trial with
     |det M| >= 1/2 has rank n.  The other trials get the batched SVD with run_trials'
-    tolerance rule, or, when every k is at most 1, count as rank below n without one.
-    Every other case runs run_trials.  The route is exact: write A = D M with D the
-    diagonal of the atoms' magnitudes 1/d (A = M D for column scales), exact because
-    every sampled entry is an atom, and M in {-1, 0, 1}^(n x n).
+    cutoff, or, when every k is at most 1, count as rank below n without one.  Such
+    det-only blocks run on one thread whatever ``n_threads`` says: they are too little
+    work to gain from threads.  Every other case runs run_trials.  The route is exact:
+    write A = D M with D the diagonal of the atoms' magnitudes 1/d (A = M D for column
+    scales), exact because every sampled entry is an atom, and M in {-1, 0, 1}^(n x n).
 
     - The determinant decides whether M is singular.  numpy's det is LU with partial
       pivoting, then sign * exp(sum log|u_ii|).  The computed factors satisfy
@@ -275,11 +270,11 @@ def rank_tail_counts(config: ExperimentConfig, ks, n_threads: int = 1) -> np.nda
       sigma_1(M) <= n, sigma_n(A)/sigma_1(A) >= sigma_n(M)/(n kappa) >= 2^10 n eps.
       Any SVD whose singular values lie within 1000 n eps sigma_1 of the exact ones
       (LAPACK's bound is a modest multiple of eps sigma_1) then leaves sigma_n above
-      n eps times its sigma_1, the run_trials tolerance.
+      n eps times its sigma_1, the run_trials cutoff.
     - A singular M gives sigma_n(A) = 0, so the route counts exactly the trials with
       rank A < n.  The SVD counts the same trials as long as its error on a zero
       singular value stays below n eps sigma_1, the premise of any SVD rank at that
-      tolerance.  That side is checked, on every n = 6 sign-matrix class and on
+      cutoff.  That side is checked, on every n = 6 sign-matrix class and on
       samples at n = 6..12, not proven.
     """
     n, ks = config.n, list(ks)
@@ -297,7 +292,7 @@ def rank_tail_counts(config: ExperimentConfig, ks, n_threads: int = 1) -> np.nda
             start = block * TRIAL_BLOCK
             ranks[start:start + mats.shape[0]] = _integer_ranks(mats, scale, svd_singular)
 
-        _map_blocks(config, do_block, n_threads)
+        _map_blocks(config, do_block, n_threads if svd_singular else 1)
     return np.array([int(np.sum(ranks <= n - k)) for k in ks], dtype=np.int64)
 
 
@@ -305,7 +300,7 @@ def rank_tail_mc(config: ExperimentConfig, n_threads: int = 1) -> tuple[float, f
     """Monte Carlo estimate of P(rank <= n - k) with binomial standard error.
 
     The hits are ``rank_tail_counts(config, [config.k])``: for a rademacher or
-    sparse-bernoulli profile with ``tol`` unset and n <= ``DET_RANK_MAX_N``, trials are
+    sparse-bernoulli profile with n <= ``DET_RANK_MAX_N``, trials are
     classified by one batched determinant per block, and only singular ones see an SVD
     (none when k <= 1).  The estimate equals the one :func:`run_trials` gives.
     """

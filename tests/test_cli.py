@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ _EXACT_PARSE_ERRORS = [
     ("law.*.* = rademacher\nprofile = uniform\n", "line 6: method = exact"),
     ("law.*.* = rademacher\n", "line 6: method = exact"),
     ("trials = 5\n", "line 6: method = exact takes no trials key"),
-    ("tol = 0.5\n", "line 6: method = exact takes no tol key"),
+    ("tol = 0.5\n", "line 6: unknown key 'tol'"),
     ("gamma = 0.3\n", "line 6: method = exact takes no gamma key"),
 ]
 
@@ -423,11 +424,34 @@ def test_norms_campaign(tmp_path):
      "line 4: key 'l' must be at least 1, got '-2'"),
     ("kind = rank-tail\nseed = 1\nn = 3\nk = 1\ntrials = 0\nprofile = rademacher\n",
      "line 5: key 'trials' must be at least 1, got '0'"),
+    ("kind = sample\nseed = 1\nn = -1\nprofile = rademacher\n",
+     "line 3: key 'n' must be at least 1, got '-1'"),
+    ("kind = sample\nseed = 1\nrows = 2\ncols = 0\nprofile = rademacher\n",
+     "line 4: key 'cols' must be at least 1, got '0'"),
+    ("kind = rank-tail\nseed = 1\nn = 0\nk = 0\ntrials = 5\nprofile = rademacher\n",
+     "line 3: key 'n' must be at least 1, got '0'"),
+    ("kind = rank-tail\nseed = 1\nn = 0\nk = 0\nmethod = exact\n",
+     "line 3: key 'n' must be at least 1, got '0'"),
+    ("kind = singular-tail\nseed = 1\nn = 0\nk = 1\nepsilon = 0.5\ntrials = 5\n"
+     "profile = rademacher\n", "line 3: key 'n' must be at least 1, got '0'"),
+    ("kind = rlcd\nseed = 1\nn = 0\nL = 1\nalpha = 0.5\nradius_cap = 2\nresolution = 0.5\n"
+     "profile = rademacher\n", "line 3: key 'n' must be at least 1, got '0'"),
+    ("kind = round\nseed = 1\nn = 0\ndelta = 0.1\nrho = 0.3\nprofile = rademacher\n",
+     "line 3: key 'n' must be at least 1, got '0'"),
+    ("kind = ri-select\nseed = 1\nrows = 3\ncols = 0\nl = 1\nprofile = rademacher\n",
+     "line 4: key 'cols' must be at least 1, got '0'"),
+    ("kind = tensorize\nseed = 1\nn = 0\nt = 0.5\n",
+     "line 3: key 'n' must be at least 1, got '0'"),
+    ("kind = norms\nseed = 1\nprofile = rademacher\nn = 0,4\ntrials = 5\n",
+     "line 4: key 'n' must list sizes of at least 1, got 0"),
 ], ids=["norms-trials", "tensorize-trials", "round-l-zero", "round-l-negative",
-        "rank-tail-trials"])
+        "rank-tail-trials", "sample-n", "sample-cols", "rank-tail-n", "rank-tail-exact-n",
+        "singular-tail-n", "rlcd-n", "round-n", "ri-select-cols", "tensorize-n", "norms-n"])
 def test_counts_below_one_fail_with_their_line(tmp_path, capsys, text, message):
-    assert run_campaign(parse_campaign(text), out_dir=str(tmp_path / "out")) == 2
+    out = str(tmp_path / "out")
+    assert run_campaign(parse_campaign(text), out_dir=out) == 2
     assert message in capsys.readouterr().err
+    assert read_results(out) == []
 
 
 def test_norms_campaign_rejects_law_rules():
@@ -441,7 +465,7 @@ def test_norms_campaign_rejects_law_rules():
 # A value for every key some kind reads; "law" is the law of a law.0.0 rule.
 _KEY_VALUES = {
     "n": "3", "rows": "2", "cols": "3", "k": "2", "epsilon": "0.1,0.5", "gamma": "0.3",
-    "trials": "20", "tol": "1e-9", "method": "mc", "k_cap": "2.5", "profile": "rademacher",
+    "trials": "20", "method": "mc", "k_cap": "2.5", "profile": "rademacher",
     "law": "gaussian", "L": "1.0", "alpha": "0.5", "radius_cap": "2.0", "resolution": "0.5",
     "mc_trials": "100", "basis": "axis 1", "columns": "0,1", "directions": "4", "l": "1",
     "delta": "0.05", "rho": "0.3", "tau": "0.5", "r": "0.05", "c_op": "3.0", "c_hs": "1.0",
@@ -513,6 +537,17 @@ def test_parse_refuses_keys_the_kind_does_not_read(text, message):
         parse_campaign(text)
 
 
+def test_readme_key_table_is_the_kind_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("| kind, branch | keys |\n|---|---|\n", 1)[1].splitlines()
+    table = []
+    for line in lines[:lines.index("")]:
+        head, keys = line.strip("|").split("|")
+        kind, *branch = re.findall(r"`([^`]+)`", head)
+        table.append(((kind, "".join(branch)), " ".join(re.findall(r"`([^`]+)`", keys))))
+    assert table == list(cli._KIND_KEYS.items())
+
+
 class _ReadLog(dict):
     """Campaign values that note each key looked up."""
 
@@ -571,6 +606,15 @@ def test_main_runs_rank_tail(tmp_path):
     out = str(tmp_path / "out")
     assert main(["rank-tail", "--config", cfg_path, "--out", out]) == 0
     assert read_results(out)
+
+
+@pytest.mark.parametrize("kind, keys", [("rank-tail", "k = 1"),
+                                       ("singular-tail", "k = 2\nepsilon = 0.1")])
+def test_main_refuses_a_tol_key_with_its_line(tmp_path, capsys, kind, keys):
+    text = f"kind = {kind}\nseed = 1\nn = 3\n{keys}\ntrials = 5\nprofile = rademacher\ntol = 0.5\n"
+    cfg_path = write_config(tmp_path, "c.cfg", text)
+    assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert f"line {len(text.splitlines())}: unknown key 'tol'" in capsys.readouterr().err
 
 
 def test_main_rejects_kind_mismatch(tmp_path, capsys):

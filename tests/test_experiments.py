@@ -75,8 +75,6 @@ def test_config_validates_shapes_and_ranges():
         ExperimentConfig(prof, 3, 3, trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(prof, 3, 3, master_seed=2**64)
-    with pytest.raises(ValueError):
-        ExperimentConfig(prof, 3, 3, tol=0.0)
 
 
 def test_singular_tail_warns_below_tail_regime():
@@ -121,7 +119,6 @@ def test_run_trials_table_contents():
     assert np.all(table["s_kth_smallest"] >= table["s_smallest"])
     assert np.all(table["s_smallest"] >= 0.0)
     assert np.all(table["rank_at_tol"] <= 5)
-    assert np.all(table["tol_used"] > 0.0)
 
 
 @pytest.mark.parametrize("make_config", [_config, _mixed_config],
@@ -133,15 +130,9 @@ def test_trial_matrix_replays_table_rows(make_config):
     for i in (0, 3, TRIAL_BLOCK + 100, trials - 1):
         s = np.linalg.svd(trial_matrix(cfg, i), compute_uv=False)
         assert s[-1] == table["s_smallest"][i]
-        assert np.sum(s > table["tol_used"][i]) == table["rank_at_tol"][i]
+        assert np.sum(s > 4 * np.finfo(float).eps * s[0]) == table["rank_at_tol"][i]
     with pytest.raises(IndexError):
         trial_matrix(cfg, trials)
-
-
-def test_run_trials_respects_explicit_tol():
-    cfg = _config(4, 1, trials=10, master_seed=3, tol=0.5)
-    table = run_trials(cfg)
-    assert np.all(table["tol_used"] == 0.5)
 
 
 # --- exact enumeration oracle ---
@@ -280,12 +271,17 @@ def test_det_route_splits_every_n6_sign_class_like_the_svd():
 
 
 @pytest.mark.parametrize("law", ["rademacher", "sparse-bernoulli(0.3)",
-                                 "sparse-bernoulli(0.5)", "alternating"])
+                                 "sparse-bernoulli(0.5)", "alternating", "column"])
 @pytest.mark.parametrize("n", range(6, 13))
 def test_rank_tail_counts_equal_the_trial_table(n, law):
     kwargs = dict(trials=5 * TRIAL_BLOCK + 77, master_seed=1000 + n)
-    cfg = (_alternating_config(n, 1, **kwargs) if law == "alternating"
-           else _config(n, 1, law=parse_law_spec(law), **kwargs))
+    if law == "alternating":
+        cfg = _alternating_config(n, 1, **kwargs)
+    elif law == "column":  # one scale per column
+        rules = parse_profile_rules(["law.*.* = rademacher", "law.*.1 = sparse-bernoulli(0.3)"])
+        cfg = ExperimentConfig(profile_from_rules(rules, n, n, k_cap=3.0), n, 1, **kwargs)
+    else:
+        cfg = _config(n, 1, law=parse_law_spec(law), **kwargs)
     assert experiments._det_route_scale(cfg) is not None
     table = run_trials(cfg)
     for ks in ([1], [1, 2], [1, 2, 3]):
@@ -296,13 +292,12 @@ def test_rank_tail_counts_equal_the_trial_table(n, law):
 
 
 @pytest.mark.parametrize("make_config", [
-    lambda: _config(6, 2, trials=700, master_seed=31, tol=0.5),
     lambda: _config(6, 2, law=gaussian(), trials=700, master_seed=32),
     lambda: _config(6, 2, law=discrete([-1.0, 1.0], [0.5, 0.5]), trials=700, master_seed=33),
     lambda: _config(DET_RANK_MAX_N + 1, 2, trials=700, master_seed=34),
     lambda: _alternating_config(DET_RANK_MAX_N, 2, p=1e-6, k_cap=300.0, trials=700,
                                 master_seed=35),
-], ids=["explicit-tol", "gaussian", "discrete", "above-range", "ill-scaled-rows"])
+], ids=["gaussian", "discrete", "above-range", "ill-scaled-rows"])
 def test_rank_tail_counts_fall_back_to_the_trial_table(make_config, monkeypatch):
     cfg = make_config()
     table = run_trials(cfg)
@@ -339,6 +334,26 @@ def test_tail_monotonicity_on_shared_table():
     tail_estimates = [singular_tail_from_table(table, 4, e)[0]
                       for e in cfg.epsilon_grid]
     assert all(a <= b for a, b in zip(tail_estimates, tail_estimates[1:]))
+
+
+@pytest.mark.parametrize("law", [rademacher(), gaussian()], ids=["rademacher", "gaussian"])
+def test_rank_at_threshold_is_the_singular_tail_at_tau_sqrt_n(law):
+    # rank at a threshold tau above the cutoff, from replayed trials, is the
+    # singular-value tail at epsilon = tau sqrt(n) on the trial table
+    n, trials = 6, 300
+    replay = _config(n, 1, law=law, trials=trials, master_seed=17)
+    svals = np.array([np.linalg.svd(trial_matrix(replay, i), compute_uv=False)
+                      for i in range(trials)])
+    inside = 0
+    for k in (1, 2, 3):
+        table = run_trials(_config(n, k, law=law, trials=trials, master_seed=17))
+        for tau in (1e-3, 0.05, 0.2, 0.5, 1.0):
+            assert np.all(tau > n * np.finfo(float).eps * table["s_largest"])
+            hits = int(np.sum(np.sum(svals > tau, axis=1) <= n - k))
+            inside += 0 < hits < trials
+            est, _ = singular_tail_from_table(table, n, tau * math.sqrt(n))
+            assert est == hits / trials, (k, tau)
+    assert inside >= 5
 
 
 def test_tail_at_zero_equals_rank_event():

@@ -9,16 +9,16 @@ invertibility column selection, and reproducible Monte Carlo campaigns with
 exact oracles at toy scale.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import CampaignError, EstimationError, ResourceLimitError
 from .ensembles import (DistributionLaw, EntryProfile, atom_moments, discrete, gaussian,
                         paley_zygmund_floor, parse_law_spec, profile_from_rules,
                         psi2_estimate, rademacher, sample_matrix, sparse_bernoulli,
                         uniform_scaled)
-from .linalg import (SingularSpectrum, complement_projector, default_rank_tol,
-                     minmax_kth_smallest, norms, numerical_rank, read_matrix,
-                     singular_spectrum, write_matrix)
+from .linalg import (SingularSpectrum, complement_projector, minmax_kth_smallest, norms,
+                     numerical_rank, rank_cutoff, read_matrix, singular_spectrum,
+                     write_matrix)
 from .sphere import (SphereParams, almost_orthogonal_check, classify_vector, dist_to_sparse,
                      sampled_span_incompressible, spread_coordinates)
 from .arithmetic import (RLCDEstimate, RLCDParams, count_lattice_points, dist_to_lattice,

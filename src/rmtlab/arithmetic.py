@@ -61,6 +61,8 @@ def _sq_dists(ys: np.ndarray, columns, mc_trials: int,
     mc = [g for groups in columns for g in groups if g.monte_carlo]
     if mc and stream is None:
         raise ValueError("a law without finite symmetrized support needs a stream")
+    if mc and mc_trials < 1:
+        raise ValueError(f"a Monte Carlo law needs mc_trials >= 1, got {mc_trials}")
     mc_vals = np.empty((len(mc), ys.shape[0]))
     for b, y in enumerate(ys):
         for k, g in enumerate(mc):

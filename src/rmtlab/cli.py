@@ -326,10 +326,16 @@ def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     k = _c_num(campaign, "k", int)
     eps = _c_grid(campaign, "epsilon", float)
+    gamma = _c_num(campaign, "gamma", default=0.25)
+    for key, ok, span in (("k", 1 <= k <= n, f"[1, {n}]"),
+                          ("epsilon", all(e >= 0.0 for e in eps), "[0, inf)"),
+                          ("gamma", 0.0 < gamma < 0.5, "(0, 1/2)")):
+        if not ok:
+            raise CampaignError(f"line {campaign.values[key][1]}: key {key!r} must lie in "
+                                f"{span}, got {campaign.get(key)!r}")
     trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
-    config = ExperimentConfig(profile, n, k, epsilon_grid=tuple(eps),
-                              gamma=_c_num(campaign, "gamma", default=0.25),
+    config = ExperimentConfig(profile, n, k, epsilon_grid=tuple(eps), gamma=gamma,
                               trials=trials, master_seed=campaign.seed)
     tail = singular_tail_mc(config, comparison_c=_c_num(campaign, "comparison_c", default=1.0),
                             n_threads=n_threads)
@@ -386,7 +392,7 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
                                 f"out of range for n = {n}")
     trace: list = []
     est = rlcd_estimate(basis, profile, col_idx, params, stream,
-                        n_directions=_c_num(campaign, "directions", int, 32), trace=trace)
+                        n_directions=_c_num(campaign, "directions", int, 32, low=0), trace=trace)
     rows.append(_row(campaign.experiment_id, n, None, None,
                      est.upper if math.isfinite(est.upper) else math.inf,
                      None, params.mc_trials, campaign.seed))
@@ -428,7 +434,7 @@ def _run_round(campaign, out_dir, stream, rows, n_threads):
                          for j in range(v.shape[1])])
     b = sample_matrix(profile, stream)
     report = rounding_report(v, u, profile, b, params, stream,
-                             mc_trials=_c_num(campaign, "mc_trials", int, 1000))
+                             mc_trials=_c_num(campaign, "mc_trials", int, 1000, low=1))
     path = os.path.join(out_dir, f"{campaign.experiment_id}.rounding_report.csv")
     with open(path, "w", newline="") as fh:
         fh.write("name,measured,threshold,pass\n")
@@ -552,6 +558,9 @@ def _report(out_dir: str) -> int:
         return 2
     with open(results, newline="") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        print(f"rmtlab: {results} is empty", file=sys.stderr)
+        return 2
     header, data = lines[0], lines[1:]
     counts: dict = {}
     for line in data:

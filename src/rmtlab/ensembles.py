@@ -34,7 +34,6 @@ __all__ = [
     "discrete",
     "check_psi2_cap",
     "parse_law_spec",
-    "parse_profile_rules",
     "parse_rule_key",
     "profile_from_rules",
     "sample_matrix",
@@ -425,22 +424,11 @@ def parse_rule_key(key: str) -> tuple[object, object]:
     return tuple("*" if p == "*" else int(p) for p in parts[1:])
 
 
-def parse_profile_rules(lines) -> list[tuple[object, object, DistributionLaw]]:
-    """Parse ``law.<i>.<j> = <spec>`` rules; ``*`` selects a whole row/column.
-
-    Rules apply in order: later rules overwrite earlier ones on the cells
-    they select.  Returns (row_selector, col_selector, law) triples where a
-    selector is an int or the string ``"*"``.
-    """
-    rules = []
-    for line in lines:
-        key, _, value = line.partition("=")
-        rules.append(parse_rule_key(key) + (parse_law_spec(value),))
-    return rules
-
-
 def profile_from_rules(rules, n_rows: int, n_cols: int, k_cap: float) -> EntryProfile:
-    """Materialize a rule list into a profile; every cell must be covered."""
+    """Materialize (row, col, law) rules into a profile; ``"*"`` selects a whole row or column.
+
+    Later rules overwrite earlier ones on the cells they select; every cell must be covered.
+    """
     codes = np.full((n_rows, n_cols), -1, dtype=np.intp)
     laws = []
     for row_sel, col_sel, law in rules:

@@ -1,9 +1,9 @@
 """Monte Carlo campaigns and exact oracles for rank and singular-value tails.
 
 The heart of the module is a trial table: one row per sampled matrix with
-its spectrum summary and its rank at the cutoff n eps s_1 (machine epsilon
-times n times the largest singular value).  Trials run in blocks of
-``TRIAL_BLOCK``; block b draws all of its matrices in one vectorized call
+its spectrum summary and its rank at :func:`~rmtlab.linalg.rank_cutoff`, n eps
+s_1 (machine epsilon times n times the largest singular value).  Trials run in
+blocks of ``TRIAL_BLOCK``; block b draws all of its matrices in one vectorized call
 from a stream spawned off the master seed with spawn key (b,), so a table
 depends only on the config, never on the thread count, and
 :func:`trial_matrix` replays any single trial by regenerating its block.
@@ -36,6 +36,7 @@ import numpy as np
 from .arithmetic import RLCDEstimate, RLCDParams, matrix_lattice_distance, rlcd_estimate
 from .ensembles import DistributionLaw, EntryProfile, sample_matrix
 from .errors import ResourceLimitError
+from .linalg import rank_cutoff
 from .rounding import annulus_check
 from .sphere import almost_orthogonal_check, dist_to_sparse, sampled_span_incompressible
 
@@ -157,11 +158,6 @@ def _map_blocks(config: ExperimentConfig, do_block, n_threads: int) -> None:
             do_block(block)
 
 
-def _rank_cutoff(n: int, s_largest: np.ndarray) -> np.ndarray:
-    """The rank cutoff of n x n matrices: n eps times their largest singular values."""
-    return n * np.finfo(float).eps * s_largest
-
-
 def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
     """Sample config.trials matrices and record their spectrum summaries.
 
@@ -181,7 +177,7 @@ def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
         rows["s_largest"] = svals[:, 0]
         rows["s_kth_smallest"] = svals[:, n - k] if k >= 1 else np.nan
         rows["s_smallest"] = svals[:, -1]
-        rows["rank_at_tol"] = np.sum(svals > _rank_cutoff(n, svals[:, :1]), axis=1)
+        rows["rank_at_tol"] = np.sum(svals > rank_cutoff(n, svals[:, :1]), axis=1)
 
     _map_blocks(config, do_block, n_threads)
     return out
@@ -205,7 +201,7 @@ def singular_tail_from_table(table: np.ndarray, n: int, epsilon: float) -> tuple
     epsilon = 0 column coincides exactly with the rank-tail event on the same
     table.  A threshold tau above the cutoff is epsilon = tau sqrt(n).
     """
-    thresh = np.maximum(epsilon / math.sqrt(n), _rank_cutoff(n, table["s_largest"]))
+    thresh = np.maximum(epsilon / math.sqrt(n), rank_cutoff(n, table["s_largest"]))
     hits = int(np.sum(table["s_kth_smallest"] <= thresh))
     return _binomial(hits, table.size)
 
@@ -222,7 +218,7 @@ def _integer_ranks(mats: np.ndarray, scale: np.ndarray, svd_singular: bool) -> n
     ranks = np.where(singular, n - 1, n)
     if svd_singular and singular.any():
         svals = np.linalg.svd(mats[singular], compute_uv=False)
-        ranks[singular] = np.sum(svals > _rank_cutoff(n, svals[:, :1]), axis=1)
+        ranks[singular] = np.sum(svals > rank_cutoff(n, svals[:, :1]), axis=1)
     return ranks
 
 
@@ -351,6 +347,9 @@ def rank_histogram_rademacher(n: int) -> tuple[int, ...]:
       which is 1.3e-4 at n = 6;
     - LAPACK's error is about n eps sigma_1 ~ 1e-14, so the cutoff parts zero
       from nonzero singular values with about ten orders of magnitude to spare.
+
+    The cutoff is not :func:`~rmtlab.linalg.rank_cutoff` because integer entries
+    give the proven gap above, which the rule for general real matrices cannot use.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -525,7 +524,7 @@ def kernel_complement_basis(a_sample: np.ndarray, column_subset, dim: int) -> np
     a = np.asarray(a_sample, dtype=float)
     cols = a[:, list(column_subset)]
     u, s, _ = np.linalg.svd(cols, full_matrices=True)
-    rank = int(np.sum(s > max(cols.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > rank_cutoff(max(cols.shape), s[:1])))
     avail = a.shape[0] - rank
     if avail < dim:
         raise ValueError(f"degenerate instance: complement dimension {avail} < {dim}")

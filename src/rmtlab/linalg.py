@@ -16,7 +16,7 @@ import numpy as np
 __all__ = [
     "SingularSpectrum",
     "singular_spectrum",
-    "default_rank_tol",
+    "rank_cutoff",
     "numerical_rank",
     "norms",
     "complement_projector",
@@ -72,18 +72,18 @@ def singular_spectrum(matrix: np.ndarray) -> SingularSpectrum:
     return SingularSpectrum(tuple(float(v) for v in vals), m.shape)
 
 
-def default_rank_tol(spectrum: SingularSpectrum) -> float:
-    """Matlab-style cutoff: max(shape) * eps * s_max."""
-    return max(spectrum.shape) * np.finfo(float).eps * (spectrum.largest if spectrum.values else 0.0)
+def rank_cutoff(size, s_largest):
+    """The one rank rule: singular values at or below size * eps * s_largest count as zero.
+
+    ``size`` is max(rows, cols); ``s_largest`` is a float or an array, one per matrix.
+    """
+    return size * np.finfo(float).eps * s_largest
 
 
-def numerical_rank(spectrum: SingularSpectrum, tol: float | None = None) -> int:
-    """Number of singular values strictly above ``tol`` (default: scale-aware eps cutoff)."""
-    if tol is None:
-        tol = default_rank_tol(spectrum)
-    elif tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return int(sum(1 for v in spectrum.values if v > tol))
+def numerical_rank(spectrum: SingularSpectrum) -> int:
+    """Number of singular values strictly above :func:`rank_cutoff`."""
+    cutoff = rank_cutoff(max(spectrum.shape), spectrum.largest if spectrum.values else 0.0)
+    return int(sum(1 for v in spectrum.values if v > cutoff))
 
 
 def norms(matrix: np.ndarray) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .linalg import SingularSpectrum, complement_projector, default_rank_tol, singular_spectrum
+from .linalg import SingularSpectrum, complement_projector, rank_cutoff, singular_spectrum
 
 __all__ = [
     "SelectionCertificate",
@@ -68,7 +68,7 @@ def ri_bound_rhs(spectrum: SingularSpectrum, l: int) -> float:
         raise ValueError("spectrum length does not match row count")
     if not 1 <= l <= k - 1:
         raise ValueError(f"l must lie in [1, {k - 1}], got {l}")
-    if spectrum.smallest <= default_rank_tol(spectrum):
+    if spectrum.smallest <= rank_cutoff(d, spectrum.largest):
         raise ValueError("spectrum is rank-deficient; the bound assumes full rank")
     vals = spectrum.values
     best = math.inf

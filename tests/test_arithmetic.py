@@ -138,12 +138,21 @@ def test_matrix_lattice_distance_known_values():
 def test_matrix_lattice_distance_takes_best_column(rng):
     # second column gaussian: continuous smearing produces a strictly
     # positive value, so the exact rademacher column must win at x = 0.5
-    from rmtlab.ensembles import parse_profile_rules, profile_from_rules
+    from rmtlab.ensembles import profile_from_rules
 
-    rules = parse_profile_rules(["law.*.0 = rademacher", "law.*.1 = gaussian"])
+    rules = [("*", 0, rademacher()), ("*", 1, gaussian())]
     prof = profile_from_rules(rules, 1, 2, k_cap=2.0)
     val = matrix_lattice_distance(np.array([0.5]), prof, mc_trials=2000, stream=rng)
     assert val == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("mc_trials", [0, -5])
+def test_matrix_lattice_distance_refuses_no_draws_for_monte_carlo_laws(mc_trials, rng):
+    prof = EntryProfile.homogeneous(4, 4, gaussian(), 2.0)
+    with pytest.raises(ValueError, match=f"needs mc_trials >= 1, got {mc_trials}"):
+        matrix_lattice_distance(np.full(4, 0.3), prof, mc_trials, rng)
+    exact = EntryProfile.homogeneous(4, 4, rademacher(), 2.0)  # summed, no draws taken
+    assert matrix_lattice_distance(np.full(4, 0.5), exact, mc_trials, rng) == 0.0
 
 
 # --- correlation-radius estimation ---

@@ -294,6 +294,7 @@ RLCD_CFG = ("kind = rlcd\nseed = 2\nn = 3\nprofile = rademacher\n"
     ("columns = 0,x", "comma list of integers"),
     ("columns = 0.5", "comma list of integers"),
     ("columns = 0,7", "column index 7 out of range for n = 3"),
+    ("directions = -3", "key 'directions' must be at least 0, got '-3'"),
 ])
 def test_rlcd_campaign_rejects_bad_basis_and_columns(tmp_path, capsys, line, message):
     cfg = parse_campaign(RLCD_CFG + line + "\n")
@@ -301,6 +302,11 @@ def test_rlcd_campaign_rejects_bad_basis_and_columns(tmp_path, capsys, line, mes
     err = capsys.readouterr().err
     assert "line 9:" in err
     assert re.search(message, err)
+
+
+def test_rlcd_campaign_with_zero_directions_searches_the_axes(tmp_path):
+    cfg = parse_campaign(RLCD_CFG + "basis = axis 2\ndirections = 0\n")
+    assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 0
 
 
 @pytest.mark.parametrize("text, shape, message", [
@@ -444,10 +450,30 @@ def test_norms_campaign(tmp_path):
      "line 3: key 'n' must be at least 1, got '0'"),
     ("kind = norms\nseed = 1\nprofile = rademacher\nn = 0,4\ntrials = 5\n",
      "line 4: key 'n' must list sizes of at least 1, got 0"),
+    ("kind = round\nseed = 1\nn = 4\ndelta = 0.1\nrho = 0.3\nmc_trials = 0\nprofile = gaussian\n",
+     "line 6: key 'mc_trials' must be at least 1, got '0'"),
 ], ids=["norms-trials", "tensorize-trials", "round-l-zero", "round-l-negative",
         "rank-tail-trials", "sample-n", "sample-cols", "rank-tail-n", "rank-tail-exact-n",
-        "singular-tail-n", "rlcd-n", "round-n", "ri-select-cols", "tensorize-n", "norms-n"])
+        "singular-tail-n", "rlcd-n", "round-n", "ri-select-cols", "tensorize-n", "norms-n",
+        "round-mc-trials"])
 def test_counts_below_one_fail_with_their_line(tmp_path, capsys, text, message):
+    out = str(tmp_path / "out")
+    assert run_campaign(parse_campaign(text), out_dir=out) == 2
+    assert message in capsys.readouterr().err
+    assert read_results(out) == []
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("k = 7\n", "line 9: key 'k' must lie in [1, 4], got '7'"),
+    ("k = 0\n", "line 9: key 'k' must lie in [1, 4], got '0'"),
+    ("epsilon = -0.1\n", "line 9: key 'epsilon' must lie in [0, inf), got '-0.1'"),
+    ("epsilon = 0,nan\n", "line 9: key 'epsilon' must lie in [0, inf), got '0,nan'"),
+    ("gamma = 0.7\n", "line 9: key 'gamma' must lie in (0, 1/2), got '0.7'"),
+    ("gamma = 0\n", "line 9: key 'gamma' must lie in (0, 1/2), got '0'"),
+])
+def test_singular_tail_errors_name_their_line(tmp_path, capsys, extra, message):
+    text = ("kind = singular-tail\nseed = 1\nn = 4\nk = 2\nepsilon = 0.1\ntrials = 5\n"
+            "profile = rademacher\ngamma = 0.25\n" + extra)
     out = str(tmp_path / "out")
     assert run_campaign(parse_campaign(text), out_dir=out) == 2
     assert message in capsys.readouterr().err
@@ -684,3 +710,9 @@ def test_report_subcommand(tmp_path, capsys):
 def test_report_subcommand_empty_dir(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
     assert "no results.csv" in capsys.readouterr().err
+
+
+def test_report_subcommand_empty_results_file(tmp_path, capsys):
+    (tmp_path / "results.csv").write_text("")
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert f"rmtlab: {tmp_path / 'results.csv'} is empty" in capsys.readouterr().err

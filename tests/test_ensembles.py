@@ -15,7 +15,6 @@ from rmtlab.ensembles import (
     gaussian,
     paley_zygmund_floor,
     parse_law_spec,
-    parse_profile_rules,
     profile_from_rules,
     psi2_estimate,
     rademacher,
@@ -240,13 +239,7 @@ def test_profile_rejects_psi2_above_cap():
 
 
 def test_profile_rules_with_wildcards():
-    rules = parse_profile_rules(
-        [
-            "law.*.* = rademacher",
-            "law.1.* = gaussian",
-            "law.1.0 = uniform",
-        ]
-    )
+    rules = [("*", "*", rademacher()), (1, "*", gaussian()), (1, 0, uniform_scaled())]
     prof = profile_from_rules(rules, 2, 2, k_cap=2.0)
     assert prof.law(0, 0).kind == "rademacher"
     assert prof.law(1, 1).kind == "gaussian"
@@ -280,8 +273,7 @@ def test_profile_constructor_rejects_bad_codes(codes, message):
 
 
 def test_profile_equality_ignores_overwritten_rules():
-    rules = parse_profile_rules(["law.*.* = gaussian", "law.0.* = uniform",
-                                 "law.*.* = rademacher"])
+    rules = [("*", "*", gaussian()), (0, "*", uniform_scaled()), ("*", "*", rademacher())]
     prof = profile_from_rules(rules, 3, 4, k_cap=2.0)
     same = EntryProfile.homogeneous(3, 4, rademacher(), 2.0)
     assert prof == same and hash(prof) == hash(same)
@@ -291,35 +283,35 @@ def test_profile_equality_ignores_overwritten_rules():
 
 
 def test_profile_rules_reject_gaps_and_bad_indices():
-    rules = parse_profile_rules(["law.0.0 = rademacher"])
+    rules = [(0, 0, rademacher())]
     with pytest.raises(ValueError):
         profile_from_rules(rules, 2, 2, k_cap=2.0)
     with pytest.raises(ValueError):
-        profile_from_rules(parse_profile_rules(["law.3.0 = gaussian"]), 1, 1, k_cap=2.0)
+        profile_from_rules([(3, 0, gaussian())], 1, 1, k_cap=2.0)
 
 
 @pytest.mark.parametrize("rules", [
-    ["law.*.* = gaussian"],
-    ["law.*.* = uniform"],
-    ["law.*.* = discrete(-1:0.5,1:0.5)"],  # sign atoms, but a discrete law
-    ["law.*.* = rademacher", "law.0.0 = gaussian"],
-    ["law.*.* = rademacher", "law.0.0 = sparse-bernoulli(0.3)"],  # neither rows nor columns
+    [("*", "*", gaussian())],
+    [("*", "*", uniform_scaled())],
+    [("*", "*", discrete([-1, 1], [0.5, 0.5]))],  # sign atoms, but a discrete law
+    [("*", "*", rademacher()), (0, 0, gaussian())],
+    [("*", "*", rademacher()), (0, 0, sparse_bernoulli(0.3))],  # neither rows nor columns
 ], ids=["gaussian", "uniform", "discrete", "one-gaussian-cell", "one-sparse-cell"])
 def test_integer_scale_is_none_without_a_sign_pattern(rules):
-    prof = profile_from_rules(parse_profile_rules(rules), 4, 4, k_cap=3.0)
+    prof = profile_from_rules(rules, 4, 4, k_cap=3.0)
     assert prof.integer_scale is None
 
 
 @pytest.mark.parametrize("rules, shape", [
-    (["law.*.* = rademacher"], (4, 1)),
-    (["law.*.* = rademacher", "law.1.* = sparse-bernoulli(0.3)",
-      "law.3.* = sparse-bernoulli(0.1)"], (4, 1)),
-    (["law.*.* = rademacher", "law.0.2 = sparse-bernoulli(1)"], (4, 1)),  # equal magnitudes
-    (["law.*.* = rademacher", "law.*.1 = sparse-bernoulli(0.3)",
-      "law.*.2 = sparse-bernoulli(0.5)"], (1, 4)),  # only columns share a magnitude
+    ([("*", "*", rademacher())], (4, 1)),
+    ([("*", "*", rademacher()), (1, "*", sparse_bernoulli(0.3)),
+      (3, "*", sparse_bernoulli(0.1))], (4, 1)),
+    ([("*", "*", rademacher()), (0, 2, sparse_bernoulli(1))], (4, 1)),  # equal magnitudes
+    ([("*", "*", rademacher()), ("*", 1, sparse_bernoulli(0.3)),
+      ("*", 2, sparse_bernoulli(0.5))], (1, 4)),  # only columns share a magnitude
 ], ids=["rademacher", "mixed-rows", "sparse-p1", "mixed-columns"])
 def test_integer_scale_maps_samples_to_their_sign_patterns(rules, shape, rng):
-    prof = profile_from_rules(parse_profile_rules(rules), 4, 4, k_cap=3.0)
+    prof = profile_from_rules(rules, 4, 4, k_cap=3.0)
     scale = prof.integer_scale
     assert scale.shape == shape and not scale.flags.writeable
     assert prof.integer_scale is scale  # built once
@@ -342,7 +334,7 @@ def test_sample_matrix_homogeneous_entries(rng):
 
 
 def test_sample_matrix_mixed_rows_have_right_marginals():
-    rules = parse_profile_rules(["law.0.* = rademacher", "law.1.* = gaussian"])
+    rules = [(0, "*", rademacher()), (1, "*", gaussian())]
     prof = profile_from_rules(rules, 2, 400, k_cap=2.0)
     stream = np.random.default_rng(7)
     rows = np.stack([sample_matrix(prof, stream) for _ in range(50)])
@@ -359,7 +351,7 @@ def test_sample_matrix_deterministic_under_seed():
     b = sample_matrix(prof, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
-    rules = parse_profile_rules(["law.*.* = rademacher", "law.2.2 = gaussian"])
+    rules = [("*", "*", rademacher()), (2, 2, gaussian())]
     prof2 = profile_from_rules(rules, 5, 5, k_cap=2.0)
     c = sample_matrix(prof2, np.random.default_rng(9))
     d = sample_matrix(prof2, np.random.default_rng(9))
@@ -380,9 +372,8 @@ def _sample_matrix_per_cell(profile, stream):
 
 
 def _mixed_profile(n_rows=5, n_cols=7):
-    rules = parse_profile_rules(["law.*.* = rademacher", "law.*.2 = gaussian",
-                                 "law.1.* = sparse-bernoulli(0.5)", "law.3.4 = uniform",
-                                 "law.4.* = rademacher"])
+    rules = [("*", "*", rademacher()), ("*", 2, gaussian()), (1, "*", sparse_bernoulli(0.5)),
+             (3, 4, uniform_scaled()), (4, "*", rademacher())]
     return profile_from_rules(rules, n_rows, n_cols, k_cap=2.5)
 
 

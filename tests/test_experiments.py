@@ -9,8 +9,8 @@ import pytest
 from rmtlab import experiments
 from rmtlab.arithmetic import RLCDParams
 from rmtlab.ensembles import (EntryProfile, discrete, gaussian, parse_law_spec,
-                              parse_profile_rules, profile_from_rules, rademacher,
-                              sample_matrix, sparse_bernoulli, uniform_scaled)
+                              profile_from_rules, rademacher, sample_matrix, sparse_bernoulli,
+                              uniform_scaled)
 from rmtlab.errors import ResourceLimitError
 from rmtlab.experiments import (
     DET_RANK_MAX_N,
@@ -35,6 +35,7 @@ from rmtlab.experiments import (
     tensorization_check,
     trial_matrix,
 )
+from rmtlab.linalg import numerical_rank, singular_spectrum
 
 
 def _config(n, k, law=None, **kwargs):
@@ -98,8 +99,7 @@ def test_singular_tail_warns_below_tail_regime():
 
 
 def _mixed_config(n, k, **kwargs):
-    rules = parse_profile_rules(["law.*.* = rademacher", "law.*.1 = gaussian",
-                                 "law.2.* = sparse-bernoulli(0.5)"])
+    rules = [("*", "*", rademacher()), ("*", 1, gaussian()), (2, "*", sparse_bernoulli(0.5))]
     prof = profile_from_rules(rules, n, n, k_cap=2.5)
     return ExperimentConfig(prof, n, k, **kwargs)
 
@@ -133,6 +133,16 @@ def test_trial_matrix_replays_table_rows(make_config):
         assert np.sum(s > 4 * np.finfo(float).eps * s[0]) == table["rank_at_tol"][i]
     with pytest.raises(IndexError):
         trial_matrix(cfg, trials)
+
+
+@pytest.mark.parametrize("law", [rademacher(), gaussian()], ids=["rademacher", "gaussian"])
+def test_trial_table_rank_is_numerical_rank(law):
+    cfg = _config(3, 1, law=law, trials=TRIAL_BLOCK + 40, master_seed=8)
+    table = run_trials(cfg)
+    ranks = [numerical_rank(singular_spectrum(trial_matrix(cfg, i))) for i in range(cfg.trials)]
+    assert table["rank_at_tol"].tolist() == ranks
+    if law == rademacher():
+        assert min(ranks) < 3  # singular sign matrices are among the trials
 
 
 # --- exact enumeration oracle ---
@@ -226,9 +236,8 @@ def test_rank_tail_mc_matches_exact_oracle():
 
 def _alternating_config(n, k, p=0.1, k_cap=3.0, **kwargs):
     """Rows alternate rademacher and sparse-bernoulli(p), starting with rademacher."""
-    rules = ["law.*.* = rademacher"] + [f"law.{i}.* = sparse-bernoulli({p})"
-                                        for i in range(1, n, 2)]
-    prof = profile_from_rules(parse_profile_rules(rules), n, n, k_cap=k_cap)
+    rules = [("*", "*", rademacher())] + [(i, "*", sparse_bernoulli(p)) for i in range(1, n, 2)]
+    prof = profile_from_rules(rules, n, n, k_cap=k_cap)
     return ExperimentConfig(prof, n, k, **kwargs)
 
 
@@ -278,7 +287,7 @@ def test_rank_tail_counts_equal_the_trial_table(n, law):
     if law == "alternating":
         cfg = _alternating_config(n, 1, **kwargs)
     elif law == "column":  # one scale per column
-        rules = parse_profile_rules(["law.*.* = rademacher", "law.*.1 = sparse-bernoulli(0.3)"])
+        rules = [("*", "*", rademacher()), ("*", 1, sparse_bernoulli(0.3))]
         cfg = ExperimentConfig(profile_from_rules(rules, n, n, k_cap=3.0), n, 1, **kwargs)
     else:
         cfg = _config(n, 1, law=parse_law_spec(law), **kwargs)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from rmtlab.linalg import (
     SingularSpectrum,
     complement_projector,
-    default_rank_tol,
     minmax_kth_smallest,
     norms,
     numerical_rank,
+    rank_cutoff,
     read_matrix,
     singular_spectrum,
     write_matrix,
@@ -75,15 +75,16 @@ def test_kth_smallest_range_checks():
 
 
 def test_rank_of_identity_and_zero():
-    assert numerical_rank(singular_spectrum(np.eye(5)), tol=1e-8) == 5
-    assert numerical_rank(singular_spectrum(np.zeros((3, 3))), tol=1e-8) == 0
+    assert numerical_rank(singular_spectrum(np.eye(5))) == 5
+    assert numerical_rank(singular_spectrum(np.zeros((3, 3)))) == 0
+    assert numerical_rank(singular_spectrum(np.zeros((0, 3)))) == 0
 
 
 def test_rank_of_outer_product(rng):
     u = rng.standard_normal(6)
     v = rng.standard_normal(6)
     spec = singular_spectrum(np.outer(u, v))
-    assert numerical_rank(spec, tol=1e-8) == 1
+    assert numerical_rank(spec) == 1
 
 
 def test_rank_default_tolerance(rng):
@@ -91,28 +92,25 @@ def test_rank_default_tolerance(rng):
     m[:, 0] = m[:, 1] + m[:, 2]
     spec = singular_spectrum(m)
     assert numerical_rank(spec) == 7
-    assert default_rank_tol(spec) > 0
 
 
-def test_rank_rejects_non_positive_tol():
-    spec = singular_spectrum(np.eye(2))
-    with pytest.raises(ValueError):
-        numerical_rank(spec, tol=0.0)
-    with pytest.raises(ValueError):
-        numerical_rank(spec, tol=-1.0)
+def test_rank_cutoff_takes_floats_and_arrays():
+    eps = np.finfo(float).eps
+    assert rank_cutoff(4, 2.5) == 4 * eps * 2.5
+    s = np.array([[3.0], [0.0], [1e300]])
+    np.testing.assert_array_equal(rank_cutoff(7, s), 7 * eps * s)
+    assert rank_cutoff(7, s).shape == (3, 1)
 
 
 @given(st.integers(min_value=0, max_value=200))
 @settings(max_examples=40, deadline=None)
-def test_rank_monotone_in_tol(seed):
+def test_numerical_rank_matches_numpy_matrix_rank(seed):
+    # numpy's matrix_rank applies the same max(M, N) * eps * S.max() rule on its own
     stream = np.random.default_rng(seed)
-    m = stream.standard_normal((5, 5))
+    m = stream.standard_normal((5, 7)) if seed % 2 else stream.integers(-1, 2, (6, 6)) * 1.0
     if seed % 3 == 0:
-        m[:, 0] = 0.0
-    spec = singular_spectrum(m)
-    tols = [1e-12, 1e-8, 1e-4, 1e-1, 1.0, 10.0]
-    ranks = [numerical_rank(spec, tol=t) for t in tols]
-    assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+        m[:, 0] = m[:, 1] - m[:, 2]
+    assert numerical_rank(singular_spectrum(m)) == np.linalg.matrix_rank(m)
 
 
 # --- norms ---
@@ -160,7 +158,7 @@ def test_projector_idempotent_and_kills_span(rng):
     p = complement_projector(cols)
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
     np.testing.assert_allclose(p @ cols, np.zeros_like(cols), atol=1e-10)
-    rank = numerical_rank(singular_spectrum(p), tol=1e-8)
+    rank = np.linalg.matrix_rank(p, tol=1e-8)
     assert rank == 9 - 3
 
 
@@ -175,7 +173,7 @@ def test_projector_handles_dependent_columns(rng):
     v = rng.standard_normal(6)
     cols = np.column_stack([v, 2.0 * v, -v])
     p = complement_projector(cols)
-    rank = numerical_rank(singular_spectrum(p), tol=1e-8)
+    rank = np.linalg.matrix_rank(p, tol=1e-8)
     assert rank == 5
     np.testing.assert_allclose(p @ v, np.zeros(6), atol=1e-10)
 

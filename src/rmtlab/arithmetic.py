@@ -7,8 +7,8 @@ entry laws, and the induced randomized log-least-common-denominator
 lattice-correlated projections).  A small Levy concentration estimator and
 the matching small-ball upper bound evaluator round out the toolkit.
 
-Expectations decompose per coordinate, so laws with finite symmetrized
-support are handled by exact enumeration and the rest by Monte Carlo.
+Expectations decompose per coordinate and are exact: finite laws sum over
+the atoms of X - X', and gaussian and uniform laws take closed forms.
 """
 
 from __future__ import annotations
@@ -48,35 +48,46 @@ def _residual_sq(z: np.ndarray) -> np.ndarray:
     return r * r
 
 
-def _sq_dists(ys: np.ndarray, columns, mc_trials: int,
-              stream: np.random.Generator | None) -> np.ndarray:
+_M = np.arange(1, 33)
+#: (-1)^(m+1) / (pi m)^2 for m = 1..32, and the sum of the terms past m = 32 (to 16 digits).
+_FOURIER = -(-1.0) ** _M / (math.pi * _M) ** 2
+_FOURIER_TAIL = 4.792870103589944e-05
+
+
+def _expected_residual_sq(group, y: np.ndarray) -> np.ndarray:
+    """E (w - round w)^2 for w = y (X - X'), X and X' iid of group.law, elementwise over y.
+
+    Finite laws sum over the atoms of X - X'.  Gaussian: w ~ N(0, s) with
+    s = 2 y^2, and the expectation is s to double precision when s <= 1/400;
+    otherwise it is 1/12 + sum_m (-1)^m e^(-2 pi^2 m^2 s) / (pi m)^2, summed as
+    sum_m (-1)^(m+1) (1 - e^(-2 pi^2 m^2 s)) / (pi m)^2 to avoid cancellation,
+    with terms past m = 32 below e^(-50).  Uniform: w is triangular on [-a, a],
+    a = 2 sqrt(3) |y|; the expectation is 2 y^2 when a <= 1/2, and otherwise
+    1/12 + (2 q({a + 1/2}) - 1/8) / (12 a^2), q(x) = x^2 (1 - x)^2 being the
+    fourth Bernoulli polynomial up to a constant.
+    """
+    if group.atoms is not None:
+        return _residual_sq(y[..., None] * group.atoms) @ group.weights
+    s = 2.0 * y * y
+    if group.law.kind == "gaussian":
+        series = _FOURIER_TAIL - np.expm1(-2.0 * math.pi ** 2 * s[..., None] * _M ** 2) @ _FOURIER
+        return np.where(s <= 1.0 / 400.0, s, series)
+    a = np.maximum(2.0 * math.sqrt(3.0) * np.abs(y), 0.5)
+    x = np.mod(a + 0.5, 1.0)
+    return np.where(a <= 0.5, s, 1.0 / 12.0 + (2.0 * (x * (1.0 - x)) ** 2 - 0.125) / (12.0 * a * a))
+
+
+def _sq_dists(ys: np.ndarray, columns) -> np.ndarray:
     """E dist^2(y * xi_bar, Z^n) for every row y of ys and every column: shape (columns, B).
 
-    ``columns`` holds one tuple of :class:`LawGroup` per column.  Finite laws
-    are summed exactly for the whole batch at once.  Monte Carlo laws draw
-    ``(mc_trials, rows)`` symmetrized entries per vector, column and group, in
-    that loop order, so memory stays at one vector's draws.  Each column's
-    total adds its groups in order, as a per-vector loop would.
+    ``columns`` holds one tuple of :class:`LawGroup` per column.  Each group
+    is evaluated for the whole batch at once, and each column's total adds
+    its groups in order, as a per-vector loop would.
     """
-    mc = [g for groups in columns for g in groups if g.monte_carlo]
-    if mc and stream is None:
-        raise ValueError("a law without finite symmetrized support needs a stream")
-    if mc and mc_trials < 1:
-        raise ValueError(f"a Monte Carlo law needs mc_trials >= 1, got {mc_trials}")
-    mc_vals = np.empty((len(mc), ys.shape[0]))
-    for b, y in enumerate(ys):
-        for k, g in enumerate(mc):
-            draws = g.law.sample_symmetrized(stream, (mc_trials, g.rows.size))
-            mc_vals[k, b] = np.sum(np.mean(_residual_sq(y[g.rows][None, :] * draws), axis=0))
     out = np.zeros((len(columns), ys.shape[0]))
-    mc_rows = iter(mc_vals)
     for c, groups in enumerate(columns):
         for g in groups:
-            if g.monte_carlo:
-                out[c] += next(mc_rows)
-            else:
-                out[c] += np.sum(_residual_sq(ys[:, g.rows][:, :, None] * g.atoms) @ g.weights,
-                                 axis=1)
+            out[c] += np.sum(_expected_residual_sq(g, ys[:, g.rows]), axis=1)
     return out
 
 
@@ -85,20 +96,18 @@ def expected_sq_dist_to_lattice(y: np.ndarray, laws, mc_trials: int,
     """E dist^2(y * xi_bar, Z^n) for xi_bar with independent symmetrized entries.
 
     ``laws[i]`` is the (unsymmetrized) law of coordinate i.  The squared
-    distance splits into per-coordinate terms, so each coordinate with a
-    finitely supported symmetrized law is summed exactly; the others are
-    estimated with ``mc_trials`` Monte Carlo draws from the stream.
+    distance splits into per-coordinate terms, each computed exactly.
+    ``mc_trials`` and ``stream`` are accepted and not read.
     """
     y = np.asarray(y, dtype=float)
     laws = tuple(laws)
     if y.size != len(laws):
         raise ValueError(f"vector length {y.size} does not match {len(laws)} laws")
     column = EntryProfile(laws, np.arange(len(laws)).reshape(-1, 1), math.inf)
-    return float(_sq_dists(y.reshape(1, -1), column.lattice_plan.groups, mc_trials, stream)[0, 0])
+    return float(_sq_dists(y.reshape(1, -1), column.lattice_plan.groups)[0, 0])
 
 
-def _min_sq_dist(ys: np.ndarray, profile: EntryProfile, column_indices, mc_trials: int,
-                 stream: np.random.Generator | None) -> np.ndarray:
+def _min_sq_dist(ys: np.ndarray, profile: EntryProfile, column_indices) -> np.ndarray:
     """Minimum over the given profile columns of E dist^2, for each row of ys.
 
     A column repeated in ``column_indices`` or in the profile is evaluated
@@ -106,8 +115,7 @@ def _min_sq_dist(ys: np.ndarray, profile: EntryProfile, column_indices, mc_trial
     """
     plan = profile.lattice_plan
     distinct = dict.fromkeys(int(plan.column_of[j]) for j in column_indices)
-    return np.min(_sq_dists(ys, [plan.groups[c] for c in distinct], mc_trials, stream),
-                  axis=0)
+    return np.min(_sq_dists(ys, [plan.groups[c] for c in distinct]), axis=0)
 
 
 def matrix_lattice_distance(x: np.ndarray, profile: EntryProfile, mc_trials: int = 1000,
@@ -120,10 +128,9 @@ def matrix_lattice_distance(x: np.ndarray, profile: EntryProfile, mc_trials: int
     result is an array of B distances, the same as B single calls).
 
     Columns with equal laws are evaluated once, so a homogeneous profile
-    costs one column.  Finitely supported laws are summed exactly; the
-    others take ``mc_trials`` Monte Carlo draws from the stream per vector
-    and per distinct column, so a repeated Monte Carlo column is one
-    estimate, not the minimum of several independent ones.
+    costs one column.  Every expectation is exact (see
+    :func:`expected_sq_dist_to_lattice`); ``mc_trials`` and ``stream`` are
+    accepted and not read.
     """
     x = np.asarray(x, dtype=float)
     n = profile.n_rows
@@ -131,7 +138,7 @@ def matrix_lattice_distance(x: np.ndarray, profile: EntryProfile, mc_trials: int
         raise ValueError(f"expected a length-{n} vector or an {n} x B array, got shape {x.shape}")
     ys = np.ascontiguousarray(x.reshape(n, -1).T)
     best = np.sqrt(np.maximum(
-        _min_sq_dist(ys, profile, range(profile.n_cols), mc_trials, stream), 0.0))
+        _min_sq_dist(ys, profile, range(profile.n_cols)), 0.0))
     return float(best[0]) if x.ndim == 1 else best
 
 
@@ -142,7 +149,10 @@ def log_plus(v: float) -> float:
 
 @dataclass(frozen=True)
 class RLCDParams:
-    """Search parameters for the log-least-common-denominator estimate."""
+    """Search parameters for the log-least-common-denominator estimate.
+
+    ``mc_trials`` is checked and not read: every lattice expectation is exact.
+    """
 
     L: float
     alpha: float
@@ -210,9 +220,7 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
     All directions of one radius go to the lattice kernel as one batch (see
     :func:`matrix_lattice_distance`): selected columns with equal laws are
     evaluated once, and the first witness in direction order is reported.
-    Monte Carlo laws draw for every direction of the batch, so after a hit
-    the stream has advanced past draws a direction-by-direction search
-    would not have made.
+    The stream supplies the random directions only.
     """
     v = np.asarray(basis, dtype=float)
     if v.ndim != 2:
@@ -254,7 +262,7 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
         ys = np.stack([v.T @ theta for theta in thetas])
         rhs = [params.L ** 2 * log_plus(params.alpha * float(np.linalg.norm(y)) / params.L)
                for y in ys]
-        lhs = _min_sq_dist(ys, profile, cols, params.mc_trials, stream).tolist()
+        lhs = _min_sq_dist(ys, profile, cols).tolist()
         best = (math.inf, -math.inf)  # (lhs - rhs margin, rhs) of the best direction so far
         hit = None
         for theta, left, right in zip(thetas, lhs, rhs):

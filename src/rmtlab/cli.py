@@ -201,6 +201,14 @@ def _c_num(campaign, key, cast=float, default=None, low=None):
     return value
 
 
+def _c_spans(campaign, *checks) -> None:
+    """Fail on the line of the first (key, holds, span) check that does not hold."""
+    for key, ok, span in checks:
+        if not ok:
+            raise CampaignError(f"line {campaign.values[key][1]}: key {key!r} must lie in "
+                                f"{span}, got {campaign.get(key)!r}")
+
+
 def _c_grid(campaign, key, cast=float, default=None):
     raw = campaign.get(key)
     if raw is None:
@@ -327,12 +335,9 @@ def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
     k = _c_num(campaign, "k", int)
     eps = _c_grid(campaign, "epsilon", float)
     gamma = _c_num(campaign, "gamma", default=0.25)
-    for key, ok, span in (("k", 1 <= k <= n, f"[1, {n}]"),
-                          ("epsilon", all(e >= 0.0 for e in eps), "[0, inf)"),
-                          ("gamma", 0.0 < gamma < 0.5, "(0, 1/2)")):
-        if not ok:
-            raise CampaignError(f"line {campaign.values[key][1]}: key {key!r} must lie in "
-                                f"{span}, got {campaign.get(key)!r}")
+    _c_spans(campaign, ("k", 1 <= k <= n, f"[1, {n}]"),
+             ("epsilon", all(e >= 0.0 for e in eps), "[0, inf)"),
+             ("gamma", 0.0 < gamma < 0.5, "(0, 1/2)"))
     trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
     config = ExperimentConfig(profile, n, k, epsilon_grid=tuple(eps), gamma=gamma,
@@ -352,10 +357,13 @@ def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
 def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
-    params = RLCDParams(L=_c_num(campaign, "L"), alpha=_c_num(campaign, "alpha"),
-                        radius_cap=_c_num(campaign, "radius_cap"),
-                        resolution=_c_num(campaign, "resolution"),
-                        mc_trials=_c_num(campaign, "mc_trials", int, 1000))
+    L, alpha, cap, step = (_c_num(campaign, k) for k in ("L", "alpha", "radius_cap", "resolution"))
+    mc_trials = _c_num(campaign, "mc_trials", int, 1000)
+    _c_spans(campaign, ("L", L > 0.0, "(0, inf)"), ("alpha", 0.0 < alpha < 1.0, "(0, 1)"),
+             ("radius_cap", 0.0 < cap < math.inf, "(0, inf)"),
+             ("resolution", 0.0 < step < cap, f"(0, {cap!r})"),
+             ("mc_trials", mc_trials >= 100, "[100, inf)"))
+    params = RLCDParams(L=L, alpha=alpha, radius_cap=cap, resolution=step, mc_trials=mc_trials)
     basis_spec, basis_line = campaign.values.get("basis", ("axis 1", None))
     parts = basis_spec.split()
     if parts[0] == "axis" and len(parts) == 2:
@@ -411,12 +419,13 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
 def _run_round(campaign, out_dir, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
-    params = RoundingParams(delta=_c_num(campaign, "delta"),
-                            rho=_c_num(campaign, "rho"),
-                            tau=_c_num(campaign, "tau", default=0.5),
-                            K=_c_num(campaign, "k_cap", default=2.0),
-                            r=_c_num(campaign, "r", default=0.05),
-                            c_op=_c_num(campaign, "c_op", default=3.0))
+    delta, rho, tau, r, c_op = (_c_num(campaign, key, default=value) for key, value in (
+        ("delta", None), ("rho", None), ("tau", 0.5), ("r", 0.05), ("c_op", 3.0)))
+    _c_spans(campaign, ("delta", delta > 0.0, "(0, inf)"), ("rho", 0.0 < rho < 1.0, "(0, 1)"),
+             ("tau", 0.0 < tau < 1.0, "(0, 1)"), ("r", r > 0.0, "(0, inf)"),
+             ("c_op", c_op > 0.0, "(0, inf)"))
+    params = RoundingParams(delta=delta, rho=rho, tau=tau, K=_c_num(campaign, "k_cap", default=2.0),
+                            r=r, c_op=c_op)
     vectors_file = campaign.get("vectors_file")
     if vectors_file is not None:
         v = read_matrix(vectors_file)
@@ -458,6 +467,7 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
         profile = _build_profile(campaign, n_rows, n_cols)
         mat = sample_matrix(profile, stream)
     l = _c_num(campaign, "l", int)
+    _c_spans(campaign, ("l", 1 <= l <= mat.shape[0] - 1, f"[1, {mat.shape[0] - 1}]"))
     mode = campaign.get("mode", "exhaustive")
     cert = ri_select(mat, l, mode)
     path = os.path.join(out_dir, f"{campaign.experiment_id}.certificates.csv")

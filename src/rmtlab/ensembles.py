@@ -389,17 +389,14 @@ class LawGroup(NamedTuple):
     """Rows of one column that share a law, with the law's symmetrized support.
 
     ``atoms``/``weights`` describe X - X' exactly for finitely supported laws;
-    both are None for the others, which are estimated by Monte Carlo.
+    both are None for the gaussian and uniform laws, whose lattice
+    expectations have closed forms.
     """
 
     law: DistributionLaw
     rows: np.ndarray
     atoms: np.ndarray | None
     weights: np.ndarray | None
-
-    @property
-    def monte_carlo(self) -> bool:
-        return self.atoms is None
 
 
 class LatticePlan(NamedTuple):

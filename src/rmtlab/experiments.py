@@ -119,7 +119,7 @@ class ExperimentConfig:
         if not 0 <= self.k <= self.n:
             raise ValueError(f"k must lie in [0, {self.n}], got {self.k}")
         eps = tuple(float(e) for e in self.epsilon_grid)
-        if any(e < 0.0 for e in eps):
+        if not all(e >= 0.0 for e in eps):
             raise ValueError("epsilon grid entries must be non-negative")
         if any(eps[i] > eps[i + 1] for i in range(len(eps) - 1)):
             raise ValueError("epsilon grid must be sorted ascending")

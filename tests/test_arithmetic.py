@@ -93,29 +93,84 @@ def test_expected_distance_is_additive_across_coordinates():
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
-def test_expected_distance_mc_matches_quadrature(rng):
-    # gaussian symmetrized coordinate: X - X' ~ N(0, 2)
+def quad_esd(law, y):
+    """E (w - round w)^2 for w = y (X - X'), by quadrature on each cell [j - 1/2, j + 1/2).
+
+    For the gaussian, w ~ N(0, 2 y^2), cut at 12 standard deviations; for the
+    uniform, w is triangular on [-a, a] with a = 2 sqrt(3) |y|, split at its
+    kink w = 0.
+    """
     from scipy.integrate import quad
 
-    y = 0.5
-    sigma = y * math.sqrt(2.0)
+    if law.kind == "gaussian":
+        sigma = math.sqrt(2.0) * abs(y)
+        reach = 12.0 * sigma
 
-    def integrand(z):
-        frac = z - round(z)
-        return frac * frac * math.exp(-z * z / (2 * sigma * sigma)) / (
-            sigma * math.sqrt(2 * math.pi)
-        )
+        def density(w):
+            return math.exp(-w * w / (2.0 * sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
+    else:
+        reach = 2.0 * math.sqrt(3.0) * abs(y)
 
-    exact, _ = quad(integrand, -8 * sigma, 8 * sigma, limit=400)
-    est = expected_sq_dist_to_lattice(
-        np.array([y]), [gaussian()], mc_trials=400_000, stream=rng
-    )
-    assert est == pytest.approx(exact, abs=3e-3)
+        def density(w):
+            return (reach - abs(w)) / (reach * reach)
+    if reach == 0.0:
+        return 0.0
+    total = []
+    for j in range(-math.ceil(reach + 0.5), math.ceil(reach + 0.5) + 1):
+        lo, hi = max(j - 0.5, -reach), min(j + 0.5, reach)
+        if lo < hi:
+            total.append(quad(lambda w: (w - j) ** 2 * density(w), lo, hi,
+                              points=[0.0] if lo < 0.0 < hi else None,
+                              epsabs=0.0, epsrel=1e-13, limit=200)[0])
+    return math.fsum(total)
 
 
-def test_expected_distance_mc_requires_stream():
-    with pytest.raises(ValueError):
-        expected_sq_dist_to_lattice(np.array([0.5]), [gaussian()], mc_trials=100)
+def test_expected_distance_mc_matches_quadrature():
+    # gaussian symmetrized coordinate: X - X' ~ N(0, 2)
+    est = expected_sq_dist_to_lattice(np.array([0.5]), [gaussian()], mc_trials=400_000)
+    assert est == pytest.approx(quad_esd(gaussian(), 0.5), rel=1e-12, abs=0.0)
+
+
+# sigma = sqrt(2) y crosses 1/20, and a = 2 sqrt(3) y crosses 1/2, inside this grid
+_SIGMA_EDGE = 1.0 / (20.0 * math.sqrt(2.0))
+_TRIANGLE_EDGE = 1.0 / (4.0 * math.sqrt(3.0))
+ORACLE_YS = [0.0, 1e-8, 1e-3, 0.02, _SIGMA_EDGE * 0.999, _SIGMA_EDGE, _SIGMA_EDGE * 1.001,
+             0.05, 0.1, _TRIANGLE_EDGE * 0.999, _TRIANGLE_EDGE, _TRIANGLE_EDGE * 1.001,
+             0.3, 0.77, 2.5, 9.0, 50.0]
+
+
+@pytest.mark.parametrize("law", [gaussian(), uniform_scaled()], ids=lambda law: law.kind)
+def test_closed_forms_match_quadrature(law):
+    got = [expected_sq_dist_to_lattice(np.array([y]), [law], 1) for y in ORACLE_YS]
+    assert got == pytest.approx([quad_esd(law, y) for y in ORACLE_YS], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("law", [gaussian(), uniform_scaled()], ids=lambda law: law.kind)
+def test_closed_forms_are_even_and_tend_to_one_twelfth(law):
+    for y in ORACLE_YS + [1e3, 1e6]:
+        value = expected_sq_dist_to_lattice(np.array([y]), [law], 1)
+        assert expected_sq_dist_to_lattice(np.array([-y]), [law], 1) == value
+        if y >= 2.5:
+            # the uniform form is 1/12 + c / (12 a^2) with |c| <= 1/8, a = 2 sqrt(3) y
+            assert abs(value - 1.0 / 12.0) <= 1.0 / (1152.0 * y * y)
+
+
+@pytest.mark.parametrize("law", [gaussian(), uniform_scaled()], ids=lambda law: law.kind)
+@pytest.mark.parametrize("y", [0.04, 0.3, 1.7])
+def test_closed_forms_match_symmetrized_draws(law, y):
+    r = y * law.sample_symmetrized(np.random.default_rng(17), 200_000)
+    r = (r - np.round(r)) ** 2
+    exact = expected_sq_dist_to_lattice(np.array([y]), [law], 1)
+    assert abs(float(np.mean(r)) - exact) <= 5.0 * float(np.std(r)) / math.sqrt(r.size)
+
+
+def test_expected_distance_needs_no_stream():
+    stream = np.random.default_rng(5)
+    state = stream.bit_generator.state
+    y, laws = np.array([0.5, -1.3]), [gaussian(), uniform_scaled()]
+    assert (expected_sq_dist_to_lattice(y, laws, 100)
+            == expected_sq_dist_to_lattice(y, laws, 100, stream))
+    assert stream.bit_generator.state == state
 
 
 def test_expected_distance_mixed_laws_deterministic():
@@ -146,13 +201,15 @@ def test_matrix_lattice_distance_takes_best_column(rng):
     assert val == pytest.approx(0.0)
 
 
-@pytest.mark.parametrize("mc_trials", [0, -5])
-def test_matrix_lattice_distance_refuses_no_draws_for_monte_carlo_laws(mc_trials, rng):
-    prof = EntryProfile.homogeneous(4, 4, gaussian(), 2.0)
-    with pytest.raises(ValueError, match=f"needs mc_trials >= 1, got {mc_trials}"):
-        matrix_lattice_distance(np.full(4, 0.3), prof, mc_trials, rng)
-    exact = EntryProfile.homogeneous(4, 4, rademacher(), 2.0)  # summed, no draws taken
-    assert matrix_lattice_distance(np.full(4, 0.5), exact, mc_trials, rng) == 0.0
+@pytest.mark.parametrize("mc_trials", [0, -5, 200])
+def test_matrix_lattice_distance_does_not_read_mc_trials(mc_trials, rng):
+    x = np.array([0.3, -1.1, 2.0, 0.05])
+    for law in (gaussian(), uniform_scaled(), rademacher()):
+        prof = EntryProfile.homogeneous(4, 4, law, 2.0)
+        state = rng.bit_generator.state
+        assert (matrix_lattice_distance(x, prof, mc_trials, rng)
+                == matrix_lattice_distance(x, prof, 1000, None))
+        assert rng.bit_generator.state == state
 
 
 # --- correlation-radius estimation ---

@@ -480,6 +480,35 @@ def test_singular_tail_errors_name_their_line(tmp_path, capsys, extra, message):
     assert read_results(out) == []
 
 
+ROUND_CFG = "kind = round\nseed = 1\nn = 4\ndelta = 0.1\nrho = 0.3\nprofile = rademacher\n"
+RI_CFG = "kind = ri-select\nseed = 1\nrows = 3\ncols = 5\nprofile = rademacher\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (RLCD_CFG + "mc_trials = 50\n", "line 9: key 'mc_trials' must lie in [100, inf), got '50'"),
+    (RLCD_CFG + "alpha = 1.5\n", "line 9: key 'alpha' must lie in (0, 1), got '1.5'"),
+    (RLCD_CFG + "L = nan\n", "line 9: key 'L' must lie in (0, inf), got 'nan'"),
+    (RLCD_CFG + "radius_cap = -1\n", "line 9: key 'radius_cap' must lie in (0, inf), got '-1'"),
+    (RLCD_CFG + "radius_cap = inf\n", "line 9: key 'radius_cap' must lie in (0, inf), got 'inf'"),
+    (RLCD_CFG + "resolution = 4\n", "line 9: key 'resolution' must lie in (0, 3.0), got '4'"),
+    (ROUND_CFG + "delta = -0.1\n", "line 7: key 'delta' must lie in (0, inf), got '-0.1'"),
+    (ROUND_CFG + "rho = 1\n", "line 7: key 'rho' must lie in (0, 1), got '1'"),
+    (ROUND_CFG + "tau = 0\n", "line 7: key 'tau' must lie in (0, 1), got '0'"),
+    (ROUND_CFG + "r = 0\n", "line 7: key 'r' must lie in (0, inf), got '0'"),
+    (ROUND_CFG + "c_op = -2\n", "line 7: key 'c_op' must lie in (0, inf), got '-2'"),
+    (RI_CFG + "l = 7\n", "line 6: key 'l' must lie in [1, 2], got '7'"),
+    (RI_CFG + "l = 0\n", "line 6: key 'l' must lie in [1, 2], got '0'"),
+], ids=["rlcd-mc-trials", "rlcd-alpha", "rlcd-L", "rlcd-radius-cap", "rlcd-radius-cap-inf",
+        "rlcd-resolution",
+        "round-delta", "round-rho", "round-tau", "round-r", "round-c-op", "ri-select-l-big",
+        "ri-select-l-zero"])
+def test_parameter_ranges_name_their_line(tmp_path, capsys, text, message):
+    out = str(tmp_path / "out")
+    assert run_campaign(parse_campaign(text), out_dir=out) == 2
+    assert message in capsys.readouterr().err
+    assert read_results(out) == []
+
+
 def test_norms_campaign_rejects_law_rules():
     with pytest.raises(CampaignError, match="line 4: kind = norms takes no law"):
         parse_campaign("kind = norms\nseed = 7\nprofile = rademacher\nlaw.0.0 = gaussian\n"

@@ -78,6 +78,13 @@ def test_config_validates_shapes_and_ranges():
         ExperimentConfig(prof, 3, 3, master_seed=2**64)
 
 
+@pytest.mark.parametrize("grid", [(math.nan,), (0.1, math.nan), (math.nan, 0.1)])
+def test_config_refuses_nan_in_epsilon_grid(grid):
+    prof = EntryProfile.homogeneous(3, 3, rademacher(), 2.0)
+    with pytest.raises(ValueError, match="epsilon grid entries must be non-negative"):
+        ExperimentConfig(prof, 3, 3, epsilon_grid=grid)
+
+
 def test_singular_tail_warns_below_tail_regime():
     prof = EntryProfile.homogeneous(10, 10, rademacher(), 2.0)
 

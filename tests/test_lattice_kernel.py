@@ -1,10 +1,12 @@
 """The batched lattice-distance kernel against the per-vector, per-column loop.
 
-The reference functions below are the 0.2.0 implementations: one
+The reference functions below follow the 0.2.0 implementations: one
 ``expected_sq_dist_to_lattice`` call per vector and per profile column, with
 the laws of the column grouped on every call.  Finitely supported laws must
-give bit-identical results through the batched kernel, and so must Monte
-Carlo laws as long as no Monte Carlo column repeats.
+give bit-identical results through the batched kernel.  Gaussian laws are
+checked against an exact reference computed cell by cell, independently of
+the kernel's Fourier series, to 1e-12 relative; for them the batch must
+still equal per-vector calls bit for bit.
 """
 
 import math
@@ -12,20 +14,50 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from rmtlab.arithmetic import (RLCDEstimate, RLCDParams, log_plus, matrix_lattice_distance,
-                               rlcd_estimate)
+from rmtlab.arithmetic import (RLCDEstimate, RLCDParams, expected_sq_dist_to_lattice, log_plus,
+                               matrix_lattice_distance, rlcd_estimate)
 from rmtlab.cli import parse_campaign, run_campaign
 from rmtlab.ensembles import (DistributionLaw, EntryProfile, discrete, gaussian,
-                              profile_from_rules, rademacher, sparse_bernoulli)
+                              profile_from_rules, rademacher, sparse_bernoulli, uniform_scaled)
 from rmtlab.experiments import KernelEventParams, kernel_tuple_event_check
 from rmtlab.rounding import RoundingParams, randomized_round, rounding_report
 from rmtlab.sphere import almost_orthogonal_check, sampled_span_incompressible
 
 # --- 0.2.0 reference: one vector, one column at a time ---
 
+_GL_NODES, _GL_WEIGHTS = (t / 2.0 for t in np.polynomial.legendre.leggauss(64))
 
-def ref_esd(y, laws, mc_trials, stream=None):
+
+def ref_gaussian_esd(y):
+    """E (w - round w)^2 for w ~ N(0, 2 y^2), from the cells [j - 1/2, j + 1/2).
+
+    Below sigma = 1/2, each cell's first two moments come from erf.  Above
+    it, the density is folded onto [-1/2, 1/2) by summing its shifts by every
+    integer j, and the folded integral is taken by 64-point Gauss-Legendre.
+    """
+    sigma = math.sqrt(2.0) * abs(y)
+    if sigma == 0.0:
+        return 0.0
+    top = math.ceil(12.0 * sigma) + 1
+    j = np.arange(-top, top + 1)[:, None]
+    if sigma >= 0.5:
+        folded = np.exp(-(_GL_NODES + j) ** 2 / (2.0 * sigma ** 2)).sum(axis=0)
+        return float(np.sum(_GL_WEIGHTS * _GL_NODES ** 2 * folded)
+                     / (sigma * math.sqrt(2.0 * math.pi)))
+    lo, hi = j - 0.5, j + 0.5
+    mass = 0.5 * (erf(hi / (sigma * math.sqrt(2.0))) - erf(lo / (sigma * math.sqrt(2.0))))
+
+    def edge(w):  # sigma^2 times the density at w
+        return sigma / math.sqrt(2.0 * math.pi) * np.exp(-w * w / (2.0 * sigma ** 2))
+
+    first = edge(lo) - edge(hi)  # integral of w over the cell
+    second = sigma ** 2 * mass - (hi * edge(hi) - lo * edge(lo))  # integral of w^2
+    return float(np.sum(second - 2.0 * j * first + j * j * mass))
+
+
+def ref_esd(y, laws):
     y = np.asarray(y, dtype=float)
     groups = {}
     for i, law in enumerate(laws):
@@ -40,16 +72,23 @@ def ref_esd(y, laws, mc_trials, stream=None):
             r = r - np.round(r)
             total += float(np.sum((r * r) @ np.asarray(weights)))
         else:
-            draws = law.sample_symmetrized(stream, (mc_trials, len(idx)))
-            r = coords[None, :] * draws
-            r = r - np.round(r)
-            total += float(np.sum(np.mean(r * r, axis=0)))
+            assert law.kind == "gaussian"
+            total += math.fsum(ref_gaussian_esd(v) for v in coords)
     return total
 
 
-def ref_mld(x, profile, mc_trials=1000, stream=None):
-    best = min(ref_esd(x, profile.column(j), mc_trials, stream) for j in range(profile.n_cols))
+def ref_mld(x, profile):
+    best = min(ref_esd(x, profile.column(j)) for j in range(profile.n_cols))
     return math.sqrt(max(best, 0.0))
+
+
+def assert_matches(got, want, name):
+    """Bit for bit on finite profiles; within 1e-12 relative on the others."""
+    if name in FINITE:
+        assert got == want
+    else:
+        assert np.asarray(got, dtype=float) == pytest.approx(np.asarray(want, dtype=float),
+                                                             rel=1e-12, abs=0.0)
 
 
 def ref_rlcd(v, profile, cols, params, stream, n_directions, trace):
@@ -74,7 +113,7 @@ def ref_rlcd(v, profile, cols, params, stream, n_directions, trace):
             theta = radius * u
             y = v.T @ theta
             rhs = params.L ** 2 * log_plus(params.alpha * float(np.linalg.norm(y)) / params.L)
-            lhs = min(ref_esd(y, profile.column(j), params.mc_trials, stream) for j in cols)
+            lhs = min(ref_esd(y, profile.column(j)) for j in cols)
             if lhs - rhs < best[0]:
                 best = (lhs - rhs, rhs, theta)
             if lhs < rhs:
@@ -87,7 +126,7 @@ def ref_rlcd(v, profile, cols, params, stream, n_directions, trace):
     return RLCDEstimate(lower=cleared, upper=math.inf, witness=None)
 
 
-def ref_annulus(u, profile, keep_norm, stream, n_samples, mc_trials):
+def ref_annulus(u, profile, keep_norm, stream, n_samples):
     """Smallest lattice distance over the kept annulus images (inf when none is kept)."""
     l = u.shape[1]
     raw = stream.standard_normal((l, n_samples))
@@ -96,7 +135,7 @@ def ref_annulus(u, profile, keep_norm, stream, n_samples, mc_trials):
     images = u @ (raw * radii)
     measured = math.inf
     for idx in np.flatnonzero(np.linalg.norm(images, axis=0) >= keep_norm):
-        measured = min(measured, ref_mld(images[:, idx], profile, mc_trials, stream))
+        measured = min(measured, ref_mld(images[:, idx], profile))
     return measured
 
 
@@ -134,7 +173,8 @@ FINITE = {
     "mixed": _mixed_finite,
     "checkerboard": _checkerboard,
 }
-ALL = dict(FINITE, gaussian_column=_gaussian_column)
+ALL = dict(FINITE, gaussian_column=_gaussian_column,
+           gaussian=lambda n: EntryProfile.homogeneous(n, n, gaussian(), 2.0))
 
 
 def test_lattice_plan_shares_equal_columns():
@@ -153,7 +193,7 @@ def test_batched_distance_matches_per_vector_loop(name):
     profile = FINITE[name](n)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((n, 12)) * np.array([0.3, 1.0, 7.0, 40.0] * 3)
-    want = [ref_mld(x[:, b], profile, 100) for b in range(x.shape[1])]
+    want = [ref_mld(x[:, b], profile) for b in range(x.shape[1])]
     got = matrix_lattice_distance(x, profile, 100)
     assert isinstance(got, np.ndarray) and got.tolist() == want
     assert [matrix_lattice_distance(x[:, b], profile, 100) for b in range(x.shape[1])] == want
@@ -161,35 +201,31 @@ def test_batched_distance_matches_per_vector_loop(name):
 
 def test_gaussian_column_matches_per_vector_loop():
     n = 8
-    profile = _gaussian_column(n)
     x = np.random.default_rng(6).standard_normal((n, 5)) * 3.0
-    stream, ref_stream = np.random.default_rng(1), np.random.default_rng(1)
-    got = matrix_lattice_distance(x, profile, 150, stream)
-    want = [ref_mld(x[:, b], profile, 150, ref_stream) for b in range(x.shape[1])]
-    assert got.tolist() == want
-    assert stream.bit_generator.state == ref_stream.bit_generator.state
-    one = matrix_lattice_distance(x[:, 0], profile, 150, np.random.default_rng(2))
-    assert one == ref_mld(x[:, 0], profile, 150, np.random.default_rng(2))
+    stream = np.random.default_rng(1)
+    for profile in (_gaussian_column(n), EntryProfile.homogeneous(n, n, gaussian(), 2.0)):
+        got = matrix_lattice_distance(x, profile, 150, stream)
+        assert got.tolist() == [matrix_lattice_distance(x[:, b], profile) for b in range(5)]
+        assert got == pytest.approx([ref_mld(x[:, b], profile) for b in range(5)],
+                                    rel=1e-12, abs=0.0)
+    column = _gaussian_column(n).column(3)
+    assert [expected_sq_dist_to_lattice(x[:, b], column, 150) for b in range(5)] == pytest.approx(
+        [ref_esd(x[:, b], column) for b in range(5)], rel=1e-12, abs=0.0)
+    assert stream.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
-def test_repeated_gaussian_column_is_estimated_once(monkeypatch):
-    n, mc_trials = 5, 100
-    profile = EntryProfile.homogeneous(n, n, gaussian(), 2.0)
-    sizes = []
-    original = DistributionLaw.sample_symmetrized
+def test_gaussian_and_uniform_columns_draw_nothing(monkeypatch):
+    def refuse(self, stream, size=None):
+        raise AssertionError("the lattice kernel drew a sample")
 
-    def counting(self, stream, size=None):
-        sizes.append(math.prod(size))
-        return original(self, stream, size)
-
-    monkeypatch.setattr(DistributionLaw, "sample_symmetrized", counting)
+    monkeypatch.setattr(DistributionLaw, "sample", refuse)
+    monkeypatch.setattr(DistributionLaw, "sample_symmetrized", refuse)
+    n = 5
     x = np.random.default_rng(3).standard_normal((n, 3))
-    got = matrix_lattice_distance(x, profile, mc_trials, np.random.default_rng(9))
-    assert sizes == [mc_trials * n] * 3
-    ref_stream = np.random.default_rng(9)
-    want = [math.sqrt(ref_esd(x[:, b], profile.column(0), mc_trials, ref_stream))
-            for b in range(3)]
-    assert got.tolist() == want
+    for law in (gaussian(), uniform_scaled()):
+        got = matrix_lattice_distance(x, EntryProfile.homogeneous(n, n, law, 2.0), 100,
+                                      np.random.default_rng(9))
+        assert got.shape == (3,) and np.all(got > 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -211,7 +247,7 @@ def test_rlcd_matches_per_direction_loop(name):
     want = ref_rlcd(basis, profile, cols, params, np.random.default_rng(7), 5, ref_trace)
     assert (est.lower, est.upper) == (want.lower, want.upper)
     assert est.witness is not None and np.array_equal(est.witness, want.witness)
-    assert trace == ref_trace
+    assert_matches(trace, ref_trace, name)
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -229,17 +265,17 @@ def test_rounding_report_lattice_rows_match_loop(name):
 
     stream = np.random.default_rng(5)
     sampled_span_incompressible(u, params.tau ** 2, params.tau ** 4 / 2.0, stream, 100)
-    dist = max(ref_mld(u[:, j], profile, 150, stream) for j in range(l))
-    annulus = ref_annulus(u, profile, 8.0 * params.r * math.sqrt(n), stream, 60, 150)
+    dist = max(ref_mld(u[:, j], profile) for j in range(l))
+    annulus = ref_annulus(u, profile, 8.0 * params.r * math.sqrt(n), stream, 60)
     assert math.isfinite(annulus)
-    assert (report.lattice_dist.measured, report.annulus.measured) == (dist, annulus)
+    assert_matches((report.lattice_dist.measured, report.annulus.measured), (dist, annulus), name)
     assert report.lattice_dist.passed == (dist < 2.0 * params.rho * math.sqrt(n))
     assert report.annulus.passed == (annulus > params.rho / 2.0 * math.sqrt(n))
 
 
 @pytest.mark.parametrize("name, rho", [(name, rho) for name in sorted(FINITE)
                                        for rho in (0.1, 0.5)]
-                         + [("gaussian_column", 0.5)])
+                         + [("gaussian_column", 0.5), ("gaussian", 0.5)])
 def test_kernel_event_flags_match_loop(name, rho):
     n, l = 12, 2
     profile = ALL[name](n)
@@ -259,11 +295,9 @@ def test_kernel_event_flags_match_loop(name, rho):
                             and np.all(col_norms <= math.exp(rho ** 2 * n / 4.0))),
         "span_incomp": sampled_span_incompressible(v, 0.25, 0.0625, stream, 100)[0],
         "almost_orth": almost_orthogonal_check(v, 0.125)[0],
-        "lattice_dist": all(ref_mld(v[:, j], profile, 150, stream) <= rho * sqrt_n
-                            for j in range(l)),
+        "lattice_dist": all(ref_mld(v[:, j], profile) <= rho * sqrt_n for j in range(l)),
     }
-    want["annulus"] = ref_annulus(v, profile, 2.0 * params.r * sqrt_n, stream, 40,
-                                  150) > rho * sqrt_n
+    want["annulus"] = ref_annulus(v, profile, 2.0 * params.r * sqrt_n, stream, 40) > rho * sqrt_n
     assert flags == want
     assert ok == all(want.values())
 

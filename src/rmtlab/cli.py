@@ -37,7 +37,10 @@ Each run writes into the output directory:
   certificates, denominator traces) and two-column tab-separated plot data
   named ``<experiment_id>.<series>.tsv``.
 
-All randomness derives from the campaign seed; reruns are byte-identical.
+Every output is replaced, not rewritten: whatever is at its path is removed
+and the file is created anew, so a link planted in the output directory is
+replaced and never written through.  All randomness derives from the
+campaign seed; reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .errors import CampaignError
 from .experiments import (ExperimentConfig, _binomial, rank_histogram_rademacher,
                           rank_tail_counts, singular_tail_mc, norm_concentration_mc,
                           tensorization_check)
-from .linalg import read_matrix, singular_spectrum, write_matrix
+from .linalg import _create, read_matrix, singular_spectrum, write_matrix
 from .rounding import RoundingParams, randomized_round, rounding_report
 from .selection import ri_select
 
@@ -275,7 +278,7 @@ def _row(experiment_id, n, k, epsilon, estimate, stderr, trials, seed) -> str:
 
 
 def _write_tsv(path: str, xs, ys) -> None:
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         for x, y in zip(xs, ys):
             fh.write(f"{_fmt(float(x))}\t{_fmt(float(y))}\n")
 
@@ -404,8 +407,7 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
     rows.append(_row(campaign.experiment_id, n, None, None,
                      est.upper if math.isfinite(est.upper) else math.inf,
                      None, params.mc_trials, campaign.seed))
-    with open(os.path.join(out_dir, f"{campaign.experiment_id}.rlcd.csv"), "w",
-              newline="") as fh:
+    with _create(os.path.join(out_dir, f"{campaign.experiment_id}.rlcd.csv")) as fh:
         fh.write("lower,upper,note\n")
         fh.write(f"{_fmt(est.lower)},{_fmt(est.upper)},{est.note or ''}\n")
     if trace:
@@ -444,8 +446,7 @@ def _run_round(campaign, out_dir, stream, rows, n_threads):
     b = sample_matrix(profile, stream)
     report = rounding_report(v, u, profile, b, params, stream,
                              mc_trials=_c_num(campaign, "mc_trials", int, 1000, low=1))
-    path = os.path.join(out_dir, f"{campaign.experiment_id}.rounding_report.csv")
-    with open(path, "w", newline="") as fh:
+    with _create(os.path.join(out_dir, f"{campaign.experiment_id}.rounding_report.csv")) as fh:
         fh.write("name,measured,threshold,pass\n")
         for line in report.csv_rows():
             fh.write(line + "\n")
@@ -461,17 +462,21 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
         if mat.shape[0] == 0:
             raise CampaignError(f"line {campaign.values['matrix_file'][1]}: matrix_file "
                                 f"{matrix_file!r} has no rows")
+        if mat.shape[0] > mat.shape[1]:
+            raise CampaignError(f"line {campaign.values['matrix_file'][1]}: matrix_file "
+                                f"{matrix_file!r} has {mat.shape[0]} rows and "
+                                f"{mat.shape[1]} columns, expected rows <= columns")
     else:
         n_rows = _c_num(campaign, "rows", int, low=1)
         n_cols = _c_num(campaign, "cols", int, low=1)
+        _c_spans(campaign, ("cols", n_cols >= n_rows, f"[{n_rows}, inf)"))
         profile = _build_profile(campaign, n_rows, n_cols)
         mat = sample_matrix(profile, stream)
     l = _c_num(campaign, "l", int)
     _c_spans(campaign, ("l", 1 <= l <= mat.shape[0] - 1, f"[1, {mat.shape[0] - 1}]"))
     mode = campaign.get("mode", "exhaustive")
     cert = ri_select(mat, l, mode)
-    path = os.path.join(out_dir, f"{campaign.experiment_id}.certificates.csv")
-    with open(path, "w", newline="") as fh:
+    with _create(os.path.join(out_dir, f"{campaign.experiment_id}.certificates.csv")) as fh:
         fh.write("indices,s_l,rhs,ratio\n")
         fh.write(cert.csv_row() + "\n")
     rows.append(_row(campaign.experiment_id, mat.shape[0], l, None, cert.ratio,
@@ -544,7 +549,7 @@ def run_campaign(campaign: CampaignFile, out_dir: str = ".", n_threads: int = 1)
     raises, so failed runs leave a reproducible record behind.
     """
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.txt"), "w", newline="") as fh:
+    with _create(os.path.join(out_dir, "manifest.txt")) as fh:
         fh.write(normalize_campaign(campaign, campaign.seed))
     rows: list = []
     status = 0
@@ -554,7 +559,7 @@ def run_campaign(campaign: CampaignFile, out_dir: str = ".", n_threads: int = 1)
     except (CampaignError, ValueError, RuntimeError, OSError) as exc:
         print(f"rmtlab: {exc}", file=sys.stderr)
         status = 2
-    with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
+    with _create(os.path.join(out_dir, "results.csv")) as fh:
         fh.write(RESULTS_HEADER + "\n")
         for row in rows:
             fh.write(row + "\n")

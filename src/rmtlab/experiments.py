@@ -148,8 +148,12 @@ def trial_matrix(config: ExperimentConfig, i: int) -> np.ndarray:
 
 
 def _map_blocks(config: ExperimentConfig, do_block, n_threads: int) -> None:
-    """Call do_block(b) for every block b of config, on n_threads threads."""
+    """Call do_block(b) for every block b of config, on at most one thread per block.
+
+    A single block runs on the calling thread: a pool would only add its start-up.
+    """
     blocks = range(-(-config.trials // TRIAL_BLOCK))
+    n_threads = min(n_threads, len(blocks))
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(do_block, blocks))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +131,23 @@ def minmax_kth_smallest(matrix: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     return float(s[n_cols - k]), witness
 
 
+def _create(path):
+    """Open ``path`` for writing as a new file, removing whatever was there first.
+
+    A link at ``path`` is replaced, never written through, and no existing file
+    is truncated (on ext4 a truncated file's close starts writeback).
+    """
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "x", newline="")
+
+
 def write_matrix(path, matrix: np.ndarray) -> None:
-    """Write a dense matrix as CSV with a ``rows,cols`` header line."""
+    """Write a dense matrix as CSV with a ``rows,cols`` header line, as a new file."""
     m = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([m.shape[0], m.shape[1]])
         for row in m:

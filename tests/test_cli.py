@@ -319,7 +319,10 @@ def test_rlcd_campaign_with_zero_directions_searches_the_axes(tmp_path):
      "profile = rademacher\n", (12, 0), "line 4: vectors_file '{path}' has no columns"),
     ("kind = ri-select\nseed = 1\nmatrix_file = {path}\nl = 1\n", (0, 5),
      "line 3: matrix_file '{path}' has no rows"),
-], ids=["round", "rlcd", "rlcd-no-rows", "round-no-columns", "ri-select-no-rows"])
+    ("kind = ri-select\nseed = 1\nmatrix_file = {path}\nl = 1\n", (5, 3),
+     "line 3: matrix_file '{path}' has 5 rows and 3 columns, expected rows <= columns"),
+], ids=["round", "rlcd", "rlcd-no-rows", "round-no-columns", "ri-select-no-rows",
+        "ri-select-tall"])
 def test_matrix_file_shape_errors_name_their_line(tmp_path, capsys, text, shape, message):
     path = str(tmp_path / "matrix.csv")
     write_matrix(path, np.ones(shape))
@@ -498,10 +501,12 @@ RI_CFG = "kind = ri-select\nseed = 1\nrows = 3\ncols = 5\nprofile = rademacher\n
     (ROUND_CFG + "c_op = -2\n", "line 7: key 'c_op' must lie in (0, inf), got '-2'"),
     (RI_CFG + "l = 7\n", "line 6: key 'l' must lie in [1, 2], got '7'"),
     (RI_CFG + "l = 0\n", "line 6: key 'l' must lie in [1, 2], got '0'"),
+    (RI_CFG.replace("rows = 3\ncols = 5", "rows = 5\ncols = 3") + "l = 2\n",
+     "line 4: key 'cols' must lie in [5, inf), got '3'"),
 ], ids=["rlcd-mc-trials", "rlcd-alpha", "rlcd-L", "rlcd-radius-cap", "rlcd-radius-cap-inf",
         "rlcd-resolution",
         "round-delta", "round-rho", "round-tau", "round-r", "round-c-op", "ri-select-l-big",
-        "ri-select-l-zero"])
+        "ri-select-l-zero", "ri-select-tall"])
 def test_parameter_ranges_name_their_line(tmp_path, capsys, text, message):
     out = str(tmp_path / "out")
     assert run_campaign(parse_campaign(text), out_dir=out) == 2
@@ -651,6 +656,55 @@ def test_runner_reads_every_key_of_its_row(tmp_path, monkeypatch, row):
     campaign.law_rules = _RuleLog(campaign.law_rules, seen)
     assert run_campaign(campaign, out_dir=str(tmp_path / "out")) == 0
     assert sorted(set(cli._KIND_KEYS[row].split()) - seen) == []
+
+
+# --- output files ---
+
+
+def _files(out_dir):
+    return {name: (Path(out_dir) / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+@pytest.mark.parametrize("row", _ROWS, ids=_row_id)
+def test_outputs_replace_links_instead_of_writing_through_them(tmp_path, row):
+    campaign = parse_campaign(_row_campaign(tmp_path, row))
+    assert run_campaign(campaign, out_dir=str(tmp_path / "fresh")) == 0
+    names = sorted(os.listdir(tmp_path / "fresh"))
+    out = tmp_path / "out"
+    out.mkdir()
+    for i, name in enumerate(names):
+        (tmp_path / f"outside{i}.txt").write_bytes(b"keep\n")
+        os.symlink(f"../outside{i}.txt", out / name)
+    assert run_campaign(campaign, out_dir=str(out)) == 0
+    for i, name in enumerate(names):
+        assert (tmp_path / f"outside{i}.txt").read_bytes() == b"keep\n", name
+        assert not (out / name).is_symlink() and (out / name).is_file(), name
+    assert _files(out) == _files(tmp_path / "fresh")
+
+
+def test_rerun_leaves_a_hard_link_to_the_old_results(tmp_path):
+    out = tmp_path / "out"
+    campaign = parse_campaign(RANK_TAIL_CFG.replace("20000", "500"))
+    run_campaign(campaign, out_dir=str(out))
+    old = (out / "results.csv").read_bytes()
+    os.link(out / "results.csv", tmp_path / "kept.csv")
+    campaign.seed = 32
+    run_campaign(campaign, out_dir=str(out))
+    assert (tmp_path / "kept.csv").read_bytes() == old
+    assert (out / "results.csv").read_bytes() != old
+    assert os.stat(tmp_path / "kept.csv").st_nlink == 1
+
+
+@pytest.mark.parametrize("row", _ROWS, ids=_row_id)
+def test_rerun_into_the_same_directory_writes_a_fresh_run(tmp_path, row):
+    campaign = parse_campaign(_row_campaign(tmp_path, row))
+    rerun = str(tmp_path / "rerun")
+    campaign.seed = 6  # a different first run, so the rerun replaces other bytes
+    assert run_campaign(campaign, out_dir=rerun) == 0
+    campaign.seed = 5
+    assert run_campaign(campaign, out_dir=rerun) == 0
+    assert run_campaign(campaign, out_dir=str(tmp_path / "fresh")) == 0
+    assert _files(rerun) == _files(tmp_path / "fresh")
 
 
 # --- argument-level entry point ---

@@ -119,6 +119,29 @@ def test_run_trials_deterministic_across_partitioning():
         np.testing.assert_array_equal(base[field], threaded[field])
 
 
+@pytest.mark.parametrize("trials", [1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 600])
+def test_thread_count_does_not_change_tables_or_counts(trials):
+    gauss = _config(6, 2, law=gaussian(), trials=trials, master_seed=51)  # run_trials route
+    signs = _config(6, 2, trials=trials, master_seed=52)  # determinant route
+    table = run_trials(gauss)
+    counts = {tuple(ks): rank_tail_counts(signs, ks).tolist() for ks in ([0, 1], [1, 2])}
+    for threads in (2, 3):
+        assert run_trials(gauss, n_threads=threads).tobytes() == table.tobytes()
+        for ks, want in counts.items():
+            assert rank_tail_counts(signs, ks, n_threads=threads).tolist() == want, ks
+
+
+def test_one_block_runs_on_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    run_trials(_config(6, 2, law=gaussian(), trials=TRIAL_BLOCK, master_seed=53), n_threads=3)
+    rank_tail_counts(_config(6, 2, trials=TRIAL_BLOCK, master_seed=54), [1, 2], n_threads=3)
+    with pytest.raises(AssertionError, match="thread pool"):
+        run_trials(_config(6, 2, trials=TRIAL_BLOCK + 1, master_seed=55), n_threads=2)
+
+
 def test_run_trials_table_contents():
     cfg = _config(5, 2, trials=64, master_seed=9)
     table = run_trials(cfg)
@@ -388,6 +411,23 @@ def test_singular_tail_mc_rows():
     for row in rows:
         expected = (1.5 * row["epsilon"] / 2) ** (0.25 * 4)
         assert row["bound"] == pytest.approx(expected)
+
+
+def test_singular_tail_meets_the_edelman_limit():
+    """Gaussian entries, k = 1: P(sqrt(n) s_min <= eps) -> 1 - exp(-eps^2/2 - eps).
+
+    Edelman (1988).  The 0.03 allowance for the bias at n = 30 is the one perfbench
+    uses; it is recorded, not calibrated.
+    """
+    trials = 4000
+    cfg = _config(30, 1, law=gaussian(), epsilon_grid=(0.25, 0.5, 1.0), trials=trials,
+                  master_seed=20261019)
+    with pytest.warns(UserWarning, match="below log"):
+        rows = singular_tail_mc(cfg)
+    for row in rows:
+        eps = float(row["epsilon"])
+        p0 = 1.0 - math.exp(-eps * eps / 2.0 - eps)
+        assert abs(row["estimate"] - p0) <= 5.0 * math.sqrt(p0 * (1.0 - p0) / trials) + 0.03, eps
 
 
 def test_singular_tail_mc_validation():

@@ -11,7 +11,7 @@ import numpy as np
 
 from rmtlab.ensembles import EntryProfile, rademacher, uniform_scaled
 from rmtlab.experiments import (ExperimentConfig, norm_concentration_mc,
-                                run_trials, singular_tail_from_table,
+                                rank_tail_from_table, run_trials, singular_tail_from_table,
                                 singular_tail_mc, tensorization_check)
 
 prof = EntryProfile.homogeneous(8, 8, rademacher(), 2.0)
@@ -27,10 +27,16 @@ for row in rows:
     print(f"{row['epsilon']:7.2f}   {row['estimate']:12.4f} +/- {row['stderr']:.4f}"
           f"   {row['bound']:10.4f}")
 
-# at epsilon = 0 the tail event is exactly the rank event
+# one trial table answers every k <= cfg.k on the same samples, so the tails
+# are ordered in k exactly; at epsilon = 0 each is exactly the rank event
 table = run_trials(cfg)
-p0, _ = singular_tail_from_table(table, 8, 0.0)
-print(f"\nepsilon = 0 tail equals the rank-drop frequency: {p0:.6f}")
+print("\nepsilon   k = 1    k = 2   (one trial table)")
+for eps in cfg.epsilon_grid:
+    p1, p2 = (singular_tail_from_table(table, 8, k, eps)[0] for k in (1, 2))
+    print(f"{eps:7.2f}   {p1:.4f}   {p2:.4f}")
+for k in (1, 2):
+    p0, _ = rank_tail_from_table(table, 8, k)
+    print(f"rank <= n - {k} frequency: {p0:.6f}, the k = {k} tail at epsilon = 0")
 
 # the bound's product structure comes from tensorization: the mean of n
 # independent uniforms is below t with probability at most (e t)^n

@@ -35,7 +35,9 @@ Each run writes into the output directory:
   reproduces the run byte-for-byte when passed back as ``--config``;
 - kind-specific artifacts (sampled matrices, rounding reports, selection
   certificates, denominator traces) and two-column tab-separated plot data
-  named ``<experiment_id>.<series>.tsv``.
+  named ``<experiment_id>.<series>.tsv``.  Before the manifest is written,
+  the artifact names of the campaign's kind and id are removed, so a run
+  that fails leaves none of an earlier run's artifacts beside its manifest.
 
 Every output is replaced, not rewritten: whatever is at its path is removed
 and the file is created anew, so a link planted in the output directory is
@@ -62,7 +64,7 @@ from .errors import CampaignError
 from .experiments import (ExperimentConfig, _binomial, rank_histogram_rademacher,
                           rank_tail_counts, singular_tail_mc, norm_concentration_mc,
                           tensorization_check)
-from .linalg import _create, read_matrix, singular_spectrum, write_matrix
+from .linalg import _create, _remove, read_matrix, singular_spectrum, write_matrix
 from .rounding import RoundingParams, randomized_round, rounding_report
 from .selection import ri_select
 
@@ -89,6 +91,19 @@ _KIND_KEYS = {
     ("ri-select", "matrix_file"): "matrix_file l mode",
     ("tensorize", ""): "n t trials",
     ("norms", ""): "n trials c_op c_hs profile",
+}
+# The files each kind writes besides manifest.txt and results.csv, named "<id>.<suffix>".
+# The runners take their paths from here, and run_campaign removes these names before
+# a run, so a run that fails leaves none of an earlier run's artifacts behind.
+_KIND_ARTIFACTS = {
+    "sample": "matrix.csv",
+    "rank-tail": "ranktail.tsv",
+    "singular-tail": "tail.tsv bound.tsv",
+    "rlcd": "rlcd.csv trace.tsv threshold.tsv",
+    "round": "rounding_report.csv",
+    "ri-select": "certificates.csv",
+    "tensorize": "exact.tsv bound.tsv",
+    "norms": "opnorm.tsv hsnorm.tsv",
 }
 _KINDS = tuple(dict.fromkeys(kind for kind, _ in _KIND_KEYS))
 _BRANCHES = {kind: branch for kind, branch in _KIND_KEYS if branch}
@@ -283,7 +298,7 @@ def _write_tsv(path: str, xs, ys) -> None:
             fh.write(f"{_fmt(float(x))}\t{_fmt(float(y))}\n")
 
 
-def _run_sample(campaign, out_dir, stream, rows, n_threads):
+def _run_sample(campaign, paths, stream, rows, n_threads):
     if campaign.get("rows") is not None:
         n_rows = _c_num(campaign, "rows", int, low=1)
         n_cols = _c_num(campaign, "cols", int, n_rows, low=1)
@@ -291,13 +306,13 @@ def _run_sample(campaign, out_dir, stream, rows, n_threads):
         n_rows = n_cols = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n_rows, n_cols)
     mat = sample_matrix(profile, stream)
-    write_matrix(os.path.join(out_dir, f"{campaign.experiment_id}.matrix.csv"), mat)
+    write_matrix(paths[0], mat)
     spec = singular_spectrum(mat)
     rows.append(_row(campaign.experiment_id, n_rows, None, None, spec.smallest,
                      None, 1, campaign.seed))
 
 
-def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
+def _run_rank_tail(campaign, paths, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     ks = _c_grid(campaign, "k", int)
     bad = [k for k in ks if not 0 <= k <= n]
@@ -314,8 +329,7 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
         for k, p in zip(ks, exact):
             rows.append(_row(campaign.experiment_id, n, k, None, p, 0.0,
                              2 ** (n * n), campaign.seed))
-        _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.ranktail.tsv"),
-                   ks, exact)
+        _write_tsv(paths[0], ks, exact)
         return
     if method != "mc":
         raise CampaignError(f"line {campaign.values['method'][1]}: method must be mc or "
@@ -329,11 +343,10 @@ def _run_rank_tail(campaign, out_dir, stream, rows, n_threads):
         estimates.append(est)
         rows.append(_row(campaign.experiment_id, n, k, None, est, se, trials,
                          campaign.seed))
-    _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.ranktail.tsv"),
-               ks, estimates)
+    _write_tsv(paths[0], ks, estimates)
 
 
-def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
+def _run_singular_tail(campaign, paths, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     k = _c_num(campaign, "k", int)
     eps = _c_grid(campaign, "epsilon", float)
@@ -351,13 +364,11 @@ def _run_singular_tail(campaign, out_dir, stream, rows, n_threads):
         rows.append(_row(campaign.experiment_id, n, k, float(entry["epsilon"]),
                          float(entry["estimate"]), float(entry["stderr"]),
                          trials, campaign.seed))
-    _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.tail.tsv"),
-               tail["epsilon"], tail["estimate"])
-    _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.bound.tsv"),
-               tail["epsilon"], tail["bound"])
+    _write_tsv(paths[0], tail["epsilon"], tail["estimate"])
+    _write_tsv(paths[1], tail["epsilon"], tail["bound"])
 
 
-def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
+def _run_rlcd(campaign, paths, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
     L, alpha, cap, step = (_c_num(campaign, k) for k in ("L", "alpha", "radius_cap", "resolution"))
@@ -407,18 +418,16 @@ def _run_rlcd(campaign, out_dir, stream, rows, n_threads):
     rows.append(_row(campaign.experiment_id, n, None, None,
                      est.upper if math.isfinite(est.upper) else math.inf,
                      None, params.mc_trials, campaign.seed))
-    with _create(os.path.join(out_dir, f"{campaign.experiment_id}.rlcd.csv")) as fh:
+    with _create(paths[0]) as fh:
         fh.write("lower,upper,note\n")
         fh.write(f"{_fmt(est.lower)},{_fmt(est.upper)},{est.note or ''}\n")
     if trace:
         radii = [t[0] for t in trace]
-        _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.trace.tsv"),
-                   radii, [t[1] for t in trace])
-        _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.threshold.tsv"),
-                   radii, [t[2] for t in trace])
+        _write_tsv(paths[1], radii, [t[1] for t in trace])
+        _write_tsv(paths[2], radii, [t[2] for t in trace])
 
 
-def _run_round(campaign, out_dir, stream, rows, n_threads):
+def _run_round(campaign, paths, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
     delta, rho, tau, r, c_op = (_c_num(campaign, key, default=value) for key, value in (
@@ -446,7 +455,7 @@ def _run_round(campaign, out_dir, stream, rows, n_threads):
     b = sample_matrix(profile, stream)
     report = rounding_report(v, u, profile, b, params, stream,
                              mc_trials=_c_num(campaign, "mc_trials", int, 1000, low=1))
-    with _create(os.path.join(out_dir, f"{campaign.experiment_id}.rounding_report.csv")) as fh:
+    with _create(paths[0]) as fh:
         fh.write("name,measured,threshold,pass\n")
         for line in report.csv_rows():
             fh.write(line + "\n")
@@ -455,7 +464,7 @@ def _run_round(campaign, out_dir, stream, rows, n_threads):
                      campaign.seed))
 
 
-def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
+def _run_ri_select(campaign, paths, stream, rows, n_threads):
     matrix_file = campaign.get("matrix_file")
     if matrix_file is not None:
         mat = read_matrix(matrix_file)
@@ -476,14 +485,14 @@ def _run_ri_select(campaign, out_dir, stream, rows, n_threads):
     _c_spans(campaign, ("l", 1 <= l <= mat.shape[0] - 1, f"[1, {mat.shape[0] - 1}]"))
     mode = campaign.get("mode", "exhaustive")
     cert = ri_select(mat, l, mode)
-    with _create(os.path.join(out_dir, f"{campaign.experiment_id}.certificates.csv")) as fh:
+    with _create(paths[0]) as fh:
         fh.write("indices,s_l,rhs,ratio\n")
         fh.write(cert.csv_row() + "\n")
     rows.append(_row(campaign.experiment_id, mat.shape[0], l, None, cert.ratio,
                      None, 1, campaign.seed))
 
 
-def _run_tensorize(campaign, out_dir, stream, rows, n_threads):
+def _run_tensorize(campaign, paths, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     ts = _c_grid(campaign, "t", float)
     trials = _c_num(campaign, "trials", int, 100_000, low=1)
@@ -496,11 +505,11 @@ def _run_tensorize(campaign, out_dir, stream, rows, n_threads):
         se = None if exact else math.sqrt(prob * (1.0 - prob) / trials)
         rows.append(_row(campaign.experiment_id, n, None, t, prob, se,
                          1 if exact else trials, campaign.seed))
-    _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.exact.tsv"), ts, probs)
-    _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.bound.tsv"), ts, bounds)
+    _write_tsv(paths[0], ts, probs)
+    _write_tsv(paths[1], ts, bounds)
 
 
-def _run_norms(campaign, out_dir, stream, rows, n_threads):
+def _run_norms(campaign, paths, stream, rows, n_threads):
     law_spec = campaign.get("profile")
     if law_spec is None:
         raise CampaignError("norms campaigns take a single homogeneous law via profile =")
@@ -524,10 +533,8 @@ def _run_norms(campaign, out_dir, stream, rows, n_threads):
         rows.append(_row(f"{campaign.experiment_id}.hs", n, None, None,
                          float(entry["hs_exceed"]), float(entry["hs_stderr"]),
                          trials, campaign.seed))
-    _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.opnorm.tsv"),
-               table["n"], table["op_exceed"])
-    _write_tsv(os.path.join(out_dir, f"{campaign.experiment_id}.hsnorm.tsv"),
-               table["n"], table["hs_exceed"])
+    _write_tsv(paths[0], table["n"], table["op_exceed"])
+    _write_tsv(paths[1], table["n"], table["hs_exceed"])
 
 
 _RUNNERS = {
@@ -546,16 +553,21 @@ def run_campaign(campaign: CampaignFile, out_dir: str = ".", n_threads: int = 1)
     """Execute one campaign; returns the process exit status.
 
     The manifest and any partial results are flushed even when a module
-    raises, so failed runs leave a reproducible record behind.
+    raises, so failed runs leave a reproducible record behind.  First the
+    artifacts its kind writes for this id are removed, so that record holds
+    none of an earlier run's; no other file in out_dir is removed.
     """
     os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, f"{campaign.experiment_id}.{suffix}")
+             for suffix in _KIND_ARTIFACTS[campaign.kind].split()]
+    for path in paths:
+        _remove(path)
     with _create(os.path.join(out_dir, "manifest.txt")) as fh:
         fh.write(normalize_campaign(campaign, campaign.seed))
     rows: list = []
     status = 0
     try:
-        _RUNNERS[campaign.kind](campaign, out_dir,
-                                _master_stream(campaign.seed), rows, n_threads)
+        _RUNNERS[campaign.kind](campaign, paths, _master_stream(campaign.seed), rows, n_threads)
     except (CampaignError, ValueError, RuntimeError, OSError) as exc:
         print(f"rmtlab: {exc}", file=sys.stderr)
         status = 2
@@ -577,6 +589,9 @@ def _report(out_dir: str) -> int:
         print(f"rmtlab: {results} is empty", file=sys.stderr)
         return 2
     header, data = lines[0], lines[1:]
+    if not data:
+        print(f"rmtlab: {results} has a header but no data row", file=sys.stderr)
+        return 2
     counts: dict = {}
     for line in data:
         counts[line.split(",", 1)[0]] = counts.get(line.split(",", 1)[0], 0) + 1

@@ -1,11 +1,11 @@
 """Monte Carlo campaigns and exact oracles for rank and singular-value tails.
 
-The heart of the module is a trial table: one row per sampled matrix with
-its spectrum summary and its rank at :func:`~rmtlab.linalg.rank_cutoff`, n eps
-s_1 (machine epsilon times n times the largest singular value).  Trials run in
-blocks of ``TRIAL_BLOCK``; block b draws all of its matrices in one vectorized call
-from a stream spawned off the master seed with spawn key (b,), so a table
-depends only on the config, never on the thread count, and
+The heart of the module is a trial table: one row per sampled matrix with s_1,
+its ``config.k`` smallest singular values and its rank at
+:func:`~rmtlab.linalg.rank_cutoff`, n eps s_1, so one table answers every
+k <= ``config.k``.  Block b of ``TRIAL_BLOCK`` trials draws all of its matrices
+in one vectorized call from a stream spawned off the master seed with spawn key
+(b,), so a table depends only on the config, never on the thread count, and
 :func:`trial_matrix` replays any single trial by regenerating its block.
 All tail estimates are computed from trial tables, so different thresholds
 (k values, epsilon values) share the same samples and the nesting of the
@@ -43,7 +43,6 @@ from .sphere import almost_orthogonal_check, dist_to_sparse, sampled_span_incomp
 __all__ = [
     "ExperimentConfig",
     "TRIAL_BLOCK",
-    "TRIAL_DTYPE",
     "KernelEventParams",
     "run_trials",
     "trial_matrix",
@@ -73,13 +72,6 @@ EXACT_CHUNK = 16_384
 #: Largest n at which :func:`rank_tail_counts` may classify by determinant (see its proof).
 DET_RANK_MAX_N = 14
 
-TRIAL_DTYPE = np.dtype([
-    ("s_largest", np.float64),
-    ("s_kth_smallest", np.float64),
-    ("s_smallest", np.float64),
-    ("rank_at_tol", np.int64),
-])
-
 TAIL_DTYPE = np.dtype([
     ("epsilon", np.float64),
     ("estimate", np.float64),
@@ -100,8 +92,9 @@ NORM_DTYPE = np.dtype([
 class ExperimentConfig:
     """One Monte Carlo campaign: ensemble, thresholds, budget, seed.
 
-    ``k`` indexes the k-th smallest singular value (k = 0 degenerates to the
-    always-true rank event and is allowed for rank tails only).
+    ``k`` is the largest k the trial table answers: it keeps the k smallest
+    singular values of each trial (k = 0 keeps one and is allowed for rank
+    tails only, where it is the always-true event).
     """
 
     profile: EntryProfile
@@ -147,11 +140,15 @@ def trial_matrix(config: ExperimentConfig, i: int) -> np.ndarray:
     return _block_matrices(config, i // TRIAL_BLOCK)[i % TRIAL_BLOCK]
 
 
-def _map_blocks(config: ExperimentConfig, do_block, n_threads: int) -> None:
-    """Call do_block(b) for every block b of config, on at most one thread per block.
+def _map_blocks(config: ExperimentConfig, reduce, n_threads: int) -> None:
+    """Call reduce(start, mats) with every block's first trial and matrices.
 
-    A single block runs on the calling thread: a pool would only add its start-up.
+    At most one thread per block; a single block runs on the calling thread, since a
+    pool would only add its start-up.
     """
+    def do_block(block: int) -> None:
+        reduce(block * TRIAL_BLOCK, _block_matrices(config, block))
+
     blocks = range(-(-config.trials // TRIAL_BLOCK))
     n_threads = min(n_threads, len(blocks))
     if n_threads > 1:
@@ -165,25 +162,23 @@ def _map_blocks(config: ExperimentConfig, do_block, n_threads: int) -> None:
 def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
     """Sample config.trials matrices and record their spectrum summaries.
 
-    Trials run in blocks of ``TRIAL_BLOCK``.  Block b draws its matrices from
-    a stream spawned off the master seed with spawn key (b,), in one
-    vectorized call, and reduces them with one batched SVD.  Threads map over
-    whole blocks, so the table is identical for any thread count;
-    :func:`trial_matrix` replays a single trial.
+    Fields: ``s_largest``; ``s_bottom``, whose column j - 1 is the j-th smallest
+    singular value for j <= max(config.k, 1); ``rank_at_tol``.  Each block is
+    reduced with one batched SVD.  Threads map over whole blocks, so the table
+    is identical for any thread count; :func:`trial_matrix` replays one trial.
     """
-    n, k = config.n, config.k
-    out = np.empty(config.trials, TRIAL_DTYPE)
+    n, width = config.n, max(config.k, 1)
+    out = np.empty(config.trials, [("s_largest", np.float64), ("s_bottom", np.float64, (width,)),
+                                   ("rank_at_tol", np.int64)])
 
-    def do_block(block: int) -> None:
-        start = block * TRIAL_BLOCK
-        svals = np.linalg.svd(_block_matrices(config, block), compute_uv=False)
+    def reduce(start: int, mats: np.ndarray) -> None:
+        svals = np.linalg.svd(mats, compute_uv=False)
         rows = out[start:start + svals.shape[0]]
         rows["s_largest"] = svals[:, 0]
-        rows["s_kth_smallest"] = svals[:, n - k] if k >= 1 else np.nan
-        rows["s_smallest"] = svals[:, -1]
+        rows["s_bottom"] = svals[:, ::-1][:, :width]
         rows["rank_at_tol"] = np.sum(svals > rank_cutoff(n, svals[:, :1]), axis=1)
 
-    _map_blocks(config, do_block, n_threads)
+    _map_blocks(config, reduce, n_threads)
     return out
 
 
@@ -198,15 +193,20 @@ def rank_tail_from_table(table: np.ndarray, n: int, k: int) -> tuple[float, floa
     return _binomial(hits, table.size)
 
 
-def singular_tail_from_table(table: np.ndarray, n: int, epsilon: float) -> tuple[float, float]:
+def singular_tail_from_table(table: np.ndarray, n: int, k: int,
+                             epsilon: float) -> tuple[float, float]:
     """Fraction of trials with the k-th smallest singular value <= epsilon/sqrt(n).
 
-    The threshold is clamped from below at each trial's rank cutoff, so the
-    epsilon = 0 column coincides exactly with the rank-tail event on the same
-    table.  A threshold tau above the cutoff is epsilon = tau sqrt(n).
+    k may run from 1 to the width of the table's ``s_bottom``.  The threshold is
+    clamped from below at each trial's rank cutoff, so the epsilon = 0 column
+    coincides exactly with the rank-tail event on the same table.  A threshold
+    tau above the cutoff is epsilon = tau sqrt(n).
     """
+    width = table["s_bottom"].shape[1]
+    if not 1 <= k <= width:
+        raise ValueError(f"k must lie in [1, {width}], the table's s_bottom width, got {k}")
     thresh = np.maximum(epsilon / math.sqrt(n), rank_cutoff(n, table["s_largest"]))
-    hits = int(np.sum(table["s_kth_smallest"] <= thresh))
+    hits = int(np.sum(table["s_bottom"][:, k - 1] <= thresh))
     return _binomial(hits, table.size)
 
 
@@ -287,12 +287,10 @@ def rank_tail_counts(config: ExperimentConfig, ks, n_threads: int = 1) -> np.nda
         ranks = np.empty(config.trials, np.int64)
         svd_singular = any(k > 1 for k in ks)
 
-        def do_block(block: int) -> None:
-            mats = _block_matrices(config, block)
-            start = block * TRIAL_BLOCK
+        def reduce(start: int, mats: np.ndarray) -> None:
             ranks[start:start + mats.shape[0]] = _integer_ranks(mats, scale, svd_singular)
 
-        _map_blocks(config, do_block, n_threads if svd_singular else 1)
+        _map_blocks(config, reduce, n_threads if svd_singular else 1)
     return np.array([int(np.sum(ranks <= n - k)) for k in ks], dtype=np.int64)
 
 
@@ -330,7 +328,7 @@ def singular_tail_mc(config: ExperimentConfig, comparison_c: float = 1.0,
     table = run_trials(config, n_threads)
     rows = np.empty(len(config.epsilon_grid), TAIL_DTYPE)
     for i, eps in enumerate(config.epsilon_grid):
-        est, se = singular_tail_from_table(table, config.n, eps)
+        est, se = singular_tail_from_table(table, config.n, config.k, eps)
         bound = (comparison_c * eps / config.k) ** (config.gamma * config.k ** 2)
         rows[i] = (eps, est, se, bound)
     return rows

@@ -131,16 +131,21 @@ def minmax_kth_smallest(matrix: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     return float(s[n_cols - k]), witness
 
 
+def _remove(path) -> None:
+    """Remove whatever is at ``path`` (a link itself, not its target), if anything."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
 def _create(path):
     """Open ``path`` for writing as a new file, removing whatever was there first.
 
     A link at ``path`` is replaced, never written through, and no existing file
     is truncated (on ext4 a truncated file's close starts writeback).
     """
-    try:
-        os.remove(path)
-    except FileNotFoundError:
-        pass
+    _remove(path)
     return open(path, "x", newline="")
 
 

@@ -215,14 +215,14 @@ def test_criterion_10_restricted_invertibility():
 def test_criterion_11_shared_seed_monotonicity():
     ok = True
     for seed in (1, 2, 3):
-        cfg = _mc_config(5, 2, 4000, seed=seed)
+        cfg = _mc_config(5, 5, 4000, seed=seed)
         table = run_trials(cfg)
         ranks = [rank_tail_from_table(table, 5, k)[0] for k in range(0, 6)]
         if any(a < b for a, b in zip(ranks, ranks[1:])):
             ok = False
-        tails = [singular_tail_from_table(table, 5, e)[0]
-                 for e in (0.0, 0.25, 0.5, 1.0, 2.0)]
-        if any(a > b for a, b in zip(tails, tails[1:])):
+        tails = np.array([[singular_tail_from_table(table, 5, k, e)[0]
+                           for e in (0.0, 0.25, 0.5, 1.0, 2.0)] for k in range(1, 6)])
+        if np.any(np.diff(tails, axis=1) < 0) or np.any(np.diff(tails, axis=0) > 0):
             ok = False
     _verdict(11, "coupled estimates are monotone in k and epsilon on every run", ok)
 

@@ -670,6 +670,8 @@ def test_outputs_replace_links_instead_of_writing_through_them(tmp_path, row):
     campaign = parse_campaign(_row_campaign(tmp_path, row))
     assert run_campaign(campaign, out_dir=str(tmp_path / "fresh")) == 0
     names = sorted(os.listdir(tmp_path / "fresh"))
+    listed = {f"{row[0]}.{suffix}" for suffix in cli._KIND_ARTIFACTS[row[0]].split()}
+    assert set(names) - {"manifest.txt", "results.csv"} <= listed  # what a rerun removes
     out = tmp_path / "out"
     out.mkdir()
     for i, name in enumerate(names):
@@ -705,6 +707,25 @@ def test_rerun_into_the_same_directory_writes_a_fresh_run(tmp_path, row):
     assert run_campaign(campaign, out_dir=rerun) == 0
     assert run_campaign(campaign, out_dir=str(tmp_path / "fresh")) == 0
     assert _files(rerun) == _files(tmp_path / "fresh")
+
+
+def test_failed_rerun_leaves_no_artifact_of_the_earlier_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = ("kind = singular-tail\nid = st\nseed = 3\nn = 4\nk = 2\nepsilon = 0.1,0.5\n"
+            "trials = 50\nprofile = rademacher\n")
+    assert run_campaign(parse_campaign(text), out_dir=str(out)) == 0
+    assert (out / "st.tail.tsv").is_file() and (out / "st.bound.tsv").is_file()
+    # another id's artifact, another kind's artifact for this id, and a user's file
+    others = {"other.tail.tsv": b"1\t2\n", "st.exact.tsv": b"3\t4\n", "notes.txt": b"mine\n"}
+    for name, data in others.items():
+        (out / name).write_bytes(data)
+    assert run_campaign(parse_campaign(text + "gamma = 0.7\n"), out_dir=str(out)) == 2
+    assert sorted(os.listdir(out)) == sorted(["manifest.txt", "results.csv", *others])
+    assert {name: (out / name).read_bytes() for name in others} == others
+    assert "gamma = 0.7" in (out / "manifest.txt").read_text()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    assert "has a header but no data row" in capsys.readouterr().err
 
 
 # --- argument-level entry point ---
@@ -796,6 +817,8 @@ def test_report_subcommand_empty_dir(tmp_path, capsys):
 
 
 def test_report_subcommand_empty_results_file(tmp_path, capsys):
-    (tmp_path / "results.csv").write_text("")
-    assert main(["report", "--out", str(tmp_path)]) == 2
-    assert f"rmtlab: {tmp_path / 'results.csv'} is empty" in capsys.readouterr().err
+    for text, message in (("", "is empty"),
+                          (RESULTS_HEADER + "\n", "has a header but no data row")):
+        (tmp_path / "results.csv").write_text(text)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        assert f"rmtlab: {tmp_path / 'results.csv'} {message}" in capsys.readouterr().err

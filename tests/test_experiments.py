@@ -17,7 +17,6 @@ from rmtlab.experiments import (
     ExperimentConfig,
     KernelEventParams,
     TRIAL_BLOCK,
-    TRIAL_DTYPE,
     compressible_event_check,
     kernel_complement_basis,
     kernel_rlcd_probe,
@@ -115,7 +114,7 @@ def test_run_trials_deterministic_across_partitioning():
     cfg = _config(6, 3, trials=3 * TRIAL_BLOCK + 17, master_seed=5)
     base = run_trials(cfg)
     threaded = run_trials(cfg, n_threads=3)
-    for field in TRIAL_DTYPE.names:
+    for field in base.dtype.names:
         np.testing.assert_array_equal(base[field], threaded[field])
 
 
@@ -145,10 +144,13 @@ def test_one_block_runs_on_the_calling_thread(monkeypatch):
 def test_run_trials_table_contents():
     cfg = _config(5, 2, trials=64, master_seed=9)
     table = run_trials(cfg)
-    assert np.all(table["s_largest"] >= table["s_kth_smallest"])
-    assert np.all(table["s_kth_smallest"] >= table["s_smallest"])
-    assert np.all(table["s_smallest"] >= 0.0)
+    assert table["s_bottom"].shape == (64, 2)
+    assert np.all(table["s_largest"] >= table["s_bottom"][:, 1])
+    assert np.all(table["s_bottom"][:, 1] >= table["s_bottom"][:, 0])
+    assert np.all(table["s_bottom"][:, 0] >= 0.0)
     assert np.all(table["rank_at_tol"] <= 5)
+    # k = 0 answers rank tails only, and still keeps the smallest singular value
+    assert run_trials(_config(5, 0, trials=64, master_seed=9))["s_bottom"].shape == (64, 1)
 
 
 @pytest.mark.parametrize("make_config", [_config, _mixed_config],
@@ -159,7 +161,7 @@ def test_trial_matrix_replays_table_rows(make_config):
     table = run_trials(cfg)
     for i in (0, 3, TRIAL_BLOCK + 100, trials - 1):
         s = np.linalg.svd(trial_matrix(cfg, i), compute_uv=False)
-        assert s[-1] == table["s_smallest"][i]
+        assert s[::-1][:2].tolist() == table["s_bottom"][i].tolist()
         assert np.sum(s > 4 * np.finfo(float).eps * s[0]) == table["rank_at_tol"][i]
     with pytest.raises(IndexError):
         trial_matrix(cfg, trials)
@@ -370,9 +372,27 @@ def test_tail_monotonicity_on_shared_table():
     table = run_trials(cfg)
     rank_estimates = [rank_tail_from_table(table, 4, k)[0] for k in range(0, 5)]
     assert all(a >= b for a, b in zip(rank_estimates, rank_estimates[1:]))
-    tail_estimates = [singular_tail_from_table(table, 4, e)[0]
+    tail_estimates = [singular_tail_from_table(table, 4, 2, e)[0]
                       for e in cfg.epsilon_grid]
     assert all(a <= b for a, b in zip(tail_estimates, tail_estimates[1:]))
+
+
+@pytest.mark.parametrize("law", [rademacher(), gaussian()], ids=["rademacher", "gaussian"])
+def test_singular_tail_is_non_increasing_in_k_on_one_table(law):
+    n = 5
+    cfg = _config(n, n, law=law, trials=3000, master_seed=18)
+    table = run_trials(cfg)
+    for eps in (0.0, 0.1, 0.3, 0.8, 1.5, 3.0):
+        tails = [singular_tail_from_table(table, n, k, eps)[0] for k in range(1, n + 1)]
+        assert all(a >= b for a, b in zip(tails, tails[1:])), (eps, tails)
+    assert tails[0] > tails[1] > tails[2] > 0.0  # at eps = 3 the check is not vacuous
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_singular_tail_from_table_refuses_k_outside_the_table(k):
+    table = run_trials(_config(4, 2, trials=10, master_seed=19))
+    with pytest.raises(ValueError, match=rf"k must lie in \[1, 2\], .* got {k}$"):
+        singular_tail_from_table(table, 4, k, 0.5)
 
 
 @pytest.mark.parametrize("law", [rademacher(), gaussian()], ids=["rademacher", "gaussian"])
@@ -380,25 +400,27 @@ def test_rank_at_threshold_is_the_singular_tail_at_tau_sqrt_n(law):
     # rank at a threshold tau above the cutoff, from replayed trials, is the
     # singular-value tail at epsilon = tau sqrt(n) on the trial table
     n, trials = 6, 300
-    replay = _config(n, 1, law=law, trials=trials, master_seed=17)
-    svals = np.array([np.linalg.svd(trial_matrix(replay, i), compute_uv=False)
+    cfg = _config(n, 3, law=law, trials=trials, master_seed=17)
+    svals = np.array([np.linalg.svd(trial_matrix(cfg, i), compute_uv=False)
                       for i in range(trials)])
+    table = run_trials(cfg)  # one table answers k = 1, 2, 3
     inside = 0
     for k in (1, 2, 3):
-        table = run_trials(_config(n, k, law=law, trials=trials, master_seed=17))
         for tau in (1e-3, 0.05, 0.2, 0.5, 1.0):
             assert np.all(tau > n * np.finfo(float).eps * table["s_largest"])
             hits = int(np.sum(np.sum(svals > tau, axis=1) <= n - k))
             inside += 0 < hits < trials
-            est, _ = singular_tail_from_table(table, n, tau * math.sqrt(n))
+            est, _ = singular_tail_from_table(table, n, k, tau * math.sqrt(n))
             assert est == hits / trials, (k, tau)
     assert inside >= 5
 
 
 def test_tail_at_zero_equals_rank_event():
-    cfg = _config(4, 2, epsilon_grid=(0.0,), trials=2000, master_seed=7)
+    cfg = _config(4, 4, epsilon_grid=(0.0,), trials=2000, master_seed=7)
     table = run_trials(cfg)
-    assert singular_tail_from_table(table, 4, 0.0) == rank_tail_from_table(table, 4, 2)
+    for k in range(1, 5):
+        assert singular_tail_from_table(table, 4, k, 0.0) == rank_tail_from_table(table, 4, k)
+    assert rank_tail_from_table(table, 4, 2)[0] > 0.0  # the k = 2 event occurs
 
 
 def test_singular_tail_mc_rows():

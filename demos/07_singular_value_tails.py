@@ -39,7 +39,8 @@ for k in (1, 2):
     print(f"rank <= n - {k} frequency: {p0:.6f}, the k = {k} tail at epsilon = 0")
 
 # the bound's product structure comes from tensorization: the mean of n
-# independent uniforms is below t with probability at most (e t)^n
+# independent uniforms is below t with probability at most (e t)^n; the
+# probability printed is exact (the Irwin-Hall law), for n t above 1 too
 print("\ntensorization of the mean of uniforms:")
 for n, t in ((2, 0.25), (4, 0.2), (8, 0.3)):
     prob, bound = tensorization_check(n, t)

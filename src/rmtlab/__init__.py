@@ -9,7 +9,7 @@ invertibility column selection, and reproducible Monte Carlo campaigns with
 exact oracles at toy scale.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .errors import CampaignError, EstimationError, ResourceLimitError
 from .ensembles import (DistributionLaw, EntryProfile, atom_moments, discrete, gaussian,
@@ -25,7 +25,7 @@ from .arithmetic import (RLCDEstimate, RLCDParams, count_lattice_points, dist_to
                          esseen_bound_eval, expected_sq_dist_to_lattice, levy_estimate,
                          log_plus, matrix_lattice_distance, rlcd_estimate)
 from .rounding import (PropertyCheck, RoundingParams, RoundingReport, annulus_check,
-                       default_delta, in_rounding_net, randomized_round, rounding_report,
+                       in_rounding_net, randomized_round, rounding_report,
                        sample_lattice_shell)
 from .selection import SelectionCertificate, projection_deficit, ri_bound_rhs, ri_select
 from .experiments import (ExperimentConfig, KernelEventParams, compressible_event_check,

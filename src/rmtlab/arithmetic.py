@@ -91,13 +91,11 @@ def _sq_dists(ys: np.ndarray, columns) -> np.ndarray:
     return out
 
 
-def expected_sq_dist_to_lattice(y: np.ndarray, laws, mc_trials: int,
-                                stream: np.random.Generator | None = None) -> float:
+def expected_sq_dist_to_lattice(y: np.ndarray, laws) -> float:
     """E dist^2(y * xi_bar, Z^n) for xi_bar with independent symmetrized entries.
 
     ``laws[i]`` is the (unsymmetrized) law of coordinate i.  The squared
     distance splits into per-coordinate terms, each computed exactly.
-    ``mc_trials`` and ``stream`` are accepted and not read.
     """
     y = np.asarray(y, dtype=float)
     laws = tuple(laws)
@@ -151,7 +149,8 @@ def log_plus(v: float) -> float:
 class RLCDParams:
     """Search parameters for the log-least-common-denominator estimate.
 
-    ``mc_trials`` is checked and not read: every lattice expectation is exact.
+    ``mc_trials`` must be at least 100 and is otherwise accepted and not
+    read: every lattice expectation is exact.
     """
 
     L: float
@@ -161,15 +160,15 @@ class RLCDParams:
     mc_trials: int = 1000
 
     def __post_init__(self):
-        if self.L <= 0.0:
-            raise ValueError("L must be positive")
+        if not self.L > 0.0:
+            raise ValueError(f"L must be positive, got {self.L}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.radius_cap <= 0.0 or self.resolution <= 0.0:
-            raise ValueError("radius_cap and resolution must be positive")
-        if self.resolution >= self.radius_cap:
-            raise ValueError("resolution must be smaller than radius_cap")
-        if self.mc_trials < 100:
+        if not 0.0 < self.radius_cap < math.inf:
+            raise ValueError(f"radius_cap must be positive and finite, got {self.radius_cap}")
+        if not 0.0 < self.resolution < self.radius_cap:
+            raise ValueError(f"resolution must lie in (0, radius_cap), got {self.resolution}")
+        if not self.mc_trials >= 100:
             raise ValueError("mc_trials must be at least 100")
 
 
@@ -279,23 +278,23 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
     return RLCDEstimate(lower=cleared, upper=math.inf, witness=None)
 
 
-def levy_estimate(sampler, t: float, mc_trials: int, stream: np.random.Generator,
-                  center_subsample: int = 32) -> tuple[float, float]:
+def levy_estimate(sampler, t: float, mc_trials: int,
+                  stream: np.random.Generator) -> tuple[float, float]:
     """Empirical concentration function: max probability mass of a radius-t ball.
 
     ``sampler(stream, count)`` must return a (count, m) array.  The supremum
     over ball centers is approximated by a finite menu: the origin, the
-    componentwise median, and ``center_subsample`` of the observed points.
+    componentwise median, and 32 of the observed points (all of them when
+    fewer were drawn).
     Returns (probability, binomial standard error).
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be non-negative")
     pts = np.asarray(sampler(stream, mc_trials), dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     centers = [np.zeros(pts.shape[1]), np.median(pts, axis=0)]
-    take = min(center_subsample, mc_trials)
-    centers.extend(pts[stream.choice(mc_trials, size=take, replace=False)])
+    centers.extend(pts[stream.choice(mc_trials, size=min(32, mc_trials), replace=False)])
     best = 0.0
     for c in centers:
         mass = float(np.mean(np.linalg.norm(pts - c, axis=1) <= t))
@@ -308,7 +307,7 @@ def esseen_bound_eval(m: int, L: float, alpha: float, det_root: float,
     """Small-ball upper bound (C L / (alpha sqrt(m)))^m / det_root * (t + sqrt(m)/rd)^m."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if det_root <= 0.0:
+    if not det_root > 0.0:
         raise ValueError("det_root must be positive")
     shift = 0.0 if math.isinf(rd) else math.sqrt(m) / rd
     return (C * L / (alpha * math.sqrt(m))) ** m / det_root * (t + shift) ** m

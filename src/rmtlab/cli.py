@@ -22,7 +22,7 @@ P for ``k_cap, profile, law``); any other key or rule fails with its line:
 - round: n, l, delta, rho, tau, r, c_op, mc_trials, vector_scale, P; with
   vectors_file: n, vectors_file, delta, rho, tau, r, c_op, mc_trials, P
 - ri-select: rows, cols, l, mode, P; with matrix_file: matrix_file, l, mode
-- tensorize: n, t, trials
+- tensorize: n, t
 - norms: n, trials, c_op, c_hs, profile (one law)
 
 Each run writes into the output directory:
@@ -52,6 +52,7 @@ import math
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ _KIND_KEYS = {
     ("round", "vectors_file"): "n vectors_file delta rho tau r c_op mc_trials k_cap profile law",
     ("ri-select", ""): "rows cols l mode k_cap profile law",
     ("ri-select", "matrix_file"): "matrix_file l mode",
-    ("tensorize", ""): "n t trials",
+    ("tensorize", ""): "n t",
     ("norms", ""): "n trials c_op c_hs profile",
 }
 # The files each kind writes besides manifest.txt and results.csv, named "<id>.<suffix>".
@@ -495,16 +496,10 @@ def _run_ri_select(campaign, paths, stream, rows, n_threads):
 def _run_tensorize(campaign, paths, stream, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     ts = _c_grid(campaign, "t", float)
-    trials = _c_num(campaign, "trials", int, 100_000, low=1)
-    probs, bounds = [], []
-    for t in ts:
-        prob, bound = tensorization_check(n, t, trials=trials, stream=stream)
-        probs.append(prob)
-        bounds.append(bound)
-        exact = n * t <= 1.0
-        se = None if exact else math.sqrt(prob * (1.0 - prob) / trials)
-        rows.append(_row(campaign.experiment_id, n, None, t, prob, se,
-                         1 if exact else trials, campaign.seed))
+    _c_spans(campaign, ("n", n <= 20, "[1, 20]"), ("t", all(0.0 < t <= 1.0 for t in ts), "(0, 1]"))
+    probs, bounds = zip(*(tensorization_check(n, t) for t in ts))
+    rows.extend(_row(campaign.experiment_id, n, None, t, prob, None, 1, campaign.seed)
+                for t, prob in zip(ts, probs))
     _write_tsv(paths[0], ts, probs)
     _write_tsv(paths[1], ts, bounds)
 
@@ -549,6 +544,12 @@ _RUNNERS = {
 }
 
 
+def _artifact_names(campaign: CampaignFile) -> list:
+    """The files a campaign writes besides manifest.txt and results.csv."""
+    return [f"{campaign.experiment_id}.{suffix}"
+            for suffix in _KIND_ARTIFACTS[campaign.kind].split()]
+
+
 def run_campaign(campaign: CampaignFile, out_dir: str = ".", n_threads: int = 1) -> int:
     """Execute one campaign; returns the process exit status.
 
@@ -558,8 +559,7 @@ def run_campaign(campaign: CampaignFile, out_dir: str = ".", n_threads: int = 1)
     none of an earlier run's; no other file in out_dir is removed.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"{campaign.experiment_id}.{suffix}")
-             for suffix in _KIND_ARTIFACTS[campaign.kind].split()]
+    paths = [os.path.join(out_dir, name) for name in _artifact_names(campaign)]
     for path in paths:
         _remove(path)
     with _create(os.path.join(out_dir, "manifest.txt")) as fh:
@@ -592,15 +592,24 @@ def _report(out_dir: str) -> int:
     if not data:
         print(f"rmtlab: {results} has a header but no data row", file=sys.stderr)
         return 2
-    counts: dict = {}
-    for line in data:
-        counts[line.split(",", 1)[0]] = counts.get(line.split(",", 1)[0], 0) + 1
+    counts = Counter(line.split(",", 1)[0] for line in data)
     print(f"results: {len(data)} row(s), header {header}")
     for exp_id in sorted(counts):
         print(f"  {exp_id}: {counts[exp_id]} row(s)")
     manifest = os.path.join(out_dir, "manifest.txt")
-    print(f"manifest: {'present' if os.path.exists(manifest) else 'missing'}")
-    return 0
+    try:
+        with open(manifest, encoding="utf-8") as fh:
+            campaign = parse_campaign(fh.read())
+    except (OSError, ValueError) as exc:
+        print(f"rmtlab: {manifest}: {exc}", file=sys.stderr)
+        return 2
+    print("manifest: present")
+    foreign = sorted(set(os.listdir(out_dir)) - {"manifest.txt", "results.csv"}
+                     - set(_artifact_names(campaign)))
+    for name in foreign:
+        print(f"rmtlab: {os.path.join(out_dir, name)} is not written by the {campaign.kind} "
+              f"campaign {campaign.experiment_id!r} of {manifest}", file=sys.stderr)
+    return 1 if foreign else 0
 
 
 def main(argv=None) -> int:
@@ -615,7 +624,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the campaign seed")
         p.add_argument("--threads", type=int, default=1, help="worker threads for trials")
-    rep = sub.add_parser("report", help="summarize an output directory")
+    rep = sub.add_parser("report", help="summarize an output directory and name every "
+                                        "file its manifest's campaign does not write")
     rep.add_argument("--out", default=".", help="output directory to summarize")
     args = parser.parse_args(argv)
 

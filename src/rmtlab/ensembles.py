@@ -241,7 +241,7 @@ _NAMED_LAWS = {
 
 def check_psi2_cap(law: DistributionLaw, k_cap: float) -> None:
     """Raise ValueError when ``law`` declares a psi2 above ``k_cap`` (1e-12 allowance)."""
-    if law.declared_psi2 > k_cap + 1e-12:
+    if not law.declared_psi2 <= k_cap + 1e-12:
         raise ValueError(f"{law.spec_string()} declares psi2 {law.declared_psi2:.6g} "
                          f"above k_cap {k_cap:.6g}")
 
@@ -292,8 +292,8 @@ class EntryProfile:
             raise ValueError("codes must be a non-empty 2-d integer array")
         if codes.min() < 0 or codes.max() >= len(self.laws):
             raise ValueError(f"codes must lie in [0, {len(self.laws)}), the indices of laws")
-        if self.k_cap <= 0:
-            raise ValueError("k_cap must be positive")
+        if not self.k_cap > 0:
+            raise ValueError(f"k_cap must be positive, got {self.k_cap}")
         merged: dict[DistributionLaw, int] = {}
         codes = np.array([merged.setdefault(law, len(merged)) for law in self.laws],
                          dtype=np.intp)[codes]
@@ -465,18 +465,18 @@ def paley_zygmund_floor(k_psi2: float) -> float:
 
     Valid for K >= 1 (below that no variance-1 law exists with the cap).
     """
-    if k_psi2 < 1.0:
+    if not k_psi2 >= 1.0:
         raise ValueError(f"the floor assumes K >= 1, got {k_psi2}")
     return 1.0 / (6.0 + 4.0 * k_psi2 ** 4)
 
 
-def psi2_estimate(law, n_samples: int, stream: np.random.Generator | None = None,
-                  rel_tol: float = 1e-3, t_cap: float = 100.0) -> float:
+def psi2_estimate(law, n_samples: int, stream: np.random.Generator | None = None) -> float:
     """Empirical psi2 norm: smallest t with mean(exp((X/t)^2)) <= 2 over one sample.
 
-    Bisects on t against a fixed sample of ``n_samples`` draws.  Raises
-    :class:`EstimationError` when even ``t_cap`` fails the criterion (the law
-    is too heavy-tailed for the sample to certify subgaussianity).
+    Bisects on t against a fixed sample of ``n_samples`` draws, to a relative
+    width of 1e-3.  Raises :class:`EstimationError` when even t = 100 fails
+    the criterion (the law is too heavy-tailed for the sample to certify
+    subgaussianity).
     """
     if n_samples < 1000:
         raise ValueError("psi2_estimate needs n_samples >= 1000")
@@ -490,14 +490,14 @@ def psi2_estimate(law, n_samples: int, stream: np.random.Generator | None = None
         with np.errstate(over="ignore"):
             return float(np.mean(np.exp(sq / (t * t))))
 
-    if avg(t_cap) > 2.0:
-        raise EstimationError(f"empirical exp-moment still above 2 at t = {t_cap}")
+    hi = 100.0
+    if avg(hi) > 2.0:
+        raise EstimationError(f"empirical exp-moment still above 2 at t = {hi}")
     # exp(peak/t^2)/n > 2 guarantees the mean exceeds 2: a valid lower bracket
     lo = math.sqrt(peak / (math.log(2.0 * n_samples) + 1.0))
-    hi = t_cap
     if avg(lo) <= 2.0:  # tiny samples of a bounded law; shrink further
         lo = min(lo, 1e-12)
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
         if avg(mid) > 2.0:
             lo = mid

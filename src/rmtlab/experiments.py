@@ -19,7 +19,7 @@ would give.
 Exact oracles anchor the Monte Carlo machinery: the rank histogram of all
 n x n sign matrices for n <= 6 (symmetry classes, one batched SVD per chunk
 of them, a cutoff that provably separates zero singular values) and
-closed-form tensorization.
+the Irwin-Hall law behind tensorization.
 """
 
 from __future__ import annotations
@@ -377,26 +377,20 @@ def rank_tail_exact_rademacher(n: int, k: int) -> Fraction:
     return Fraction(sum(rank_histogram_rademacher(n)[:n - k + 1]), 2 ** (n * n))
 
 
-def tensorization_check(n: int, t: float, trials: int = 100_000,
-                        stream: np.random.Generator | None = None) -> tuple[float, float]:
+def tensorization_check(n: int, t: float) -> tuple[float, float]:
     """P(mean of n uniform[0,1] variables <= t) against the product bound (e t)^n.
 
-    The probability is the exact simplex volume (n t)^n / n! when n t <= 1
-    and a Monte Carlo estimate otherwise.  Returns (probability, bound).
+    The probability is the Irwin-Hall distribution function at x = n t,
+    (1/n!) sum_{j <= floor(x)} (-1)^j C(n, j) (x - j)^n, summed exactly in
+    rationals from the float x and rounded once.  Returns (probability, bound).
     """
     if not 1 <= n <= 20:
         raise ValueError(f"n must lie in [1, 20], got {n}")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if n * t <= 1.0:
-        prob = (n * t) ** n / math.factorial(n)
-    else:
-        rng = np.random.default_rng(0) if stream is None else stream
-        sums = rng.random((trials, n)).sum(axis=1)
-        prob = float(np.mean(sums <= n * t))
-    return prob, (math.e * t) ** n
+    x = Fraction(n * t)
+    volume = sum((-1) ** j * math.comb(n, j) * (x - j) ** n for j in range(math.floor(x) + 1))
+    return float(volume / math.factorial(n)), (math.e * t) ** n
 
 
 def norm_concentration_mc(law: DistributionLaw, n_grid, trials: int,
@@ -467,8 +461,8 @@ class KernelEventParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if self.r <= 0.0 or self.L <= 0.0:
-            raise ValueError("r and L must be positive")
+        if not (self.r > 0.0 and self.L > 0.0):
+            raise ValueError(f"r and L must be positive, got r = {self.r}, L = {self.L}")
 
 
 def kernel_tuple_event_check(v_tuple: np.ndarray, b_matrix: np.ndarray,
@@ -484,6 +478,7 @@ def kernel_tuple_event_check(v_tuple: np.ndarray, b_matrix: np.ndarray,
     condition that combinations V theta with |theta| <= 1/(20 sqrt(l)) and
     |V theta| >= 2 r sqrt(n) keep lattice distance above rho sqrt(n)
     (sampled).  Kernel membership is a checked precondition, not a flag.
+    ``mc_trials`` is accepted and not read: every lattice expectation is exact.
     Returns (all true, per-condition flag dict).
     """
     v = np.asarray(v_tuple, dtype=float)
@@ -510,9 +505,9 @@ def kernel_tuple_event_check(v_tuple: np.ndarray, b_matrix: np.ndarray,
     orth_ok, _, _ = almost_orthogonal_check(v, 0.125)
     flags["almost_orth"] = orth_ok
     flags["lattice_dist"] = bool(np.all(
-        matrix_lattice_distance(v, a_profile, mc_trials, stream) <= params.rho * sqrt_n))
+        matrix_lattice_distance(v, a_profile) <= params.rho * sqrt_n))
     flags["annulus"] = annulus_check(v, a_profile, 2.0 * params.r * sqrt_n, params.rho * sqrt_n,
-                                     stream, n_annulus_samples, mc_trials).passed
+                                     stream, n_annulus_samples).passed
     return all(flags.values()), flags
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "RoundingParams",
     "RoundingReport",
     "annulus_check",
-    "default_delta",
     "randomized_round",
     "rounding_report",
     "in_rounding_net",
@@ -36,11 +35,6 @@ __all__ = [
 ]
 
 _GRID_SNAP = 1e-9
-
-
-def default_delta(rho: float) -> float:
-    """Default grid step: a tenth of the compressibility radius."""
-    return rho / 10.0
 
 
 @dataclass(frozen=True)
@@ -61,16 +55,16 @@ class RoundingParams:
     c_op: float = 3.0
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not self.delta > 0.0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
         for name in ("rho", "tau"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if self.K < 1.0:
-            raise ValueError("K must be at least 1")
-        if self.r <= 0.0 or self.c_op <= 0.0:
-            raise ValueError("r and c_op must be positive")
+        if not self.K >= 1.0:
+            raise ValueError(f"K must be at least 1, got {self.K}")
+        if not (self.r > 0.0 and self.c_op > 0.0):
+            raise ValueError(f"r and c_op must be positive, got r = {self.r}, c_op = {self.c_op}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def randomized_round(v: np.ndarray, delta: float, stream: np.random.Generator) -
     |u_i - v_i| <= delta always.  Coordinates already on the grid (within
     1e-9 of a grid point, relatively) stay put.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     v = np.asarray(v, dtype=float)
     scaled = v / delta
@@ -152,7 +146,8 @@ def rounding_report(v_tuple: np.ndarray, u_tuple: np.ndarray, a_profile: EntryPr
     are expectations over ``a_profile`` (the ensemble the vectors will be
     tested against), so the profile rather than a sampled matrix enters;
     ``b_matrix`` is the fixed matrix of the bounded-image guarantee.  The
-    span and annulus conditions are sampled, not certified.
+    span and annulus conditions are sampled, not certified.  ``mc_trials``
+    is accepted and not read: every lattice expectation is exact.
     """
     v = _as_tuple_matrix(v_tuple, "v_tuple")
     u = _as_tuple_matrix(u_tuple, "u_tuple")
@@ -182,12 +177,12 @@ def rounding_report(v_tuple: np.ndarray, u_tuple: np.ndarray, a_profile: EntryPr
                                                       stream, n_span_samples)
     incomp = PropertyCheck("span_incomp", span_worst, span_rho, span_ok)
 
-    dist_meas = float(np.max(matrix_lattice_distance(u, a_profile, mc_trials, stream)))
+    dist_meas = float(np.max(matrix_lattice_distance(u, a_profile)))
     dist_thresh = 2.0 * params.rho * sqrt_n
     lattice = PropertyCheck("lattice_dist", dist_meas, dist_thresh, dist_meas < dist_thresh)
 
     annulus = annulus_check(u, a_profile, 8.0 * params.r * sqrt_n, (params.rho / 2.0) * sqrt_n,
-                            stream, n_annulus_samples, mc_trials)
+                            stream, n_annulus_samples)
 
     img_meas = float(np.max(np.linalg.norm(b @ u, axis=0)))
     img_thresh = 2.0 * params.K * params.delta * n
@@ -197,8 +192,8 @@ def rounding_report(v_tuple: np.ndarray, u_tuple: np.ndarray, a_profile: EntryPr
 
 
 def annulus_check(u: np.ndarray, a_profile: EntryProfile, keep_norm: float,
-                  threshold: float, stream: np.random.Generator, n_samples: int,
-                  mc_trials: int) -> PropertyCheck:
+                  threshold: float, stream: np.random.Generator,
+                  n_samples: int) -> PropertyCheck:
     """Sampled check that small-coefficient, large-image combinations stay lattice-far.
 
     Draws theta uniformly in the ball of radius 1/(20 sqrt(l)), keeps those
@@ -219,7 +214,7 @@ def annulus_check(u: np.ndarray, a_profile: EntryProfile, keep_norm: float,
     kept = images[:, np.linalg.norm(images, axis=0) >= keep_norm]
     measured = math.inf
     if kept.shape[1]:
-        measured = float(np.min(matrix_lattice_distance(kept, a_profile, mc_trials, stream)))
+        measured = float(np.min(matrix_lattice_distance(kept, a_profile)))
     return PropertyCheck("annulus", measured, threshold, measured > threshold)
 
 
@@ -236,7 +231,7 @@ def _grid_coordinates(u: np.ndarray, delta: float) -> np.ndarray:
 
 def in_rounding_net(u_tuple: np.ndarray, radii, a_profile: EntryProfile,
                     params: RoundingParams, stream: np.random.Generator,
-                    n_span_samples: int = 1000, mc_trials: int = 1000) -> bool:
+                    n_span_samples: int = 1000) -> bool:
     """Membership in the rounding net for radius list d.
 
     Requires each grid vector u_j to have norm in [d_j/2, 4 d_j] (inclusive),
@@ -254,7 +249,7 @@ def in_rounding_net(u_tuple: np.ndarray, radii, a_profile: EntryProfile,
     if np.any(norms < d / 2.0) or np.any(norms > 4.0 * d):
         return False
     limit = 2.0 * params.rho * math.sqrt(n)
-    if np.any(matrix_lattice_distance(u, a_profile, mc_trials, stream) >= limit):
+    if np.any(matrix_lattice_distance(u, a_profile) >= limit):
         return False
     ok, _ = sampled_span_incompressible(u, params.tau ** 2, params.tau ** 4 / 2.0,
                                         stream, n_span_samples)
@@ -275,7 +270,7 @@ def sample_lattice_shell(delta: float, d_j: float, n: int, sphere_params,
     proposal count.
     """
     tau = sphere_params.tau
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     if d_j < delta * math.sqrt(n):
         raise ValueError(f"d_j = {d_j} below the coarsest shell delta*sqrt(n) = "

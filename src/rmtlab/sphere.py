@@ -31,18 +31,17 @@ _UNIT_TOL = 1e-8
 class SphereParams:
     """Sphere-decomposition parameters; every field must lie strictly in (0, 1).
 
-    delta/rho control the sparse and compressible sets, nu the
-    almost-orthogonality width, tau the incompressibility level used for
-    span checks (span parameters are (tau^2, tau^4/2) where they appear).
+    delta/rho control the sparse and compressible sets, tau the
+    incompressibility level used for span checks (span parameters are
+    (tau^2, tau^4/2) where they appear).
     """
 
     delta: float
     rho: float
-    nu: float = 0.125
     tau: float = 0.5
 
     def __post_init__(self):
-        for name in ("delta", "rho", "nu", "tau"):
+        for name in ("delta", "rho", "tau"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")

@@ -187,7 +187,7 @@ def test_criterion_09_tensorization():
     sweep_ok = True
     for n in range(1, 21):
         for t in np.arange(0.05, 1.0, 0.05):
-            p, b = tensorization_check(n, float(t), trials=20_000)
+            p, b = tensorization_check(n, float(t))
             if p > b:
                 sweep_ok = False
     _verdict(9, "mean-of-uniforms probability never exceeds the product bound",

@@ -80,16 +80,16 @@ def test_log_plus():
 def test_expected_distance_rademacher_exact():
     # symmetrized rademacher is -2/0/2 with weights 1/4, 1/2, 1/4
     law = rademacher()
-    val = expected_sq_dist_to_lattice(np.array([0.1]), [law], mc_trials=10)
+    val = expected_sq_dist_to_lattice(np.array([0.1]), [law])
     assert val == pytest.approx(0.5 * 0.2**2, abs=1e-15)
-    assert expected_sq_dist_to_lattice(np.array([0.5]), [law], mc_trials=10) == pytest.approx(0.0)
-    assert expected_sq_dist_to_lattice(np.array([0.0]), [law], mc_trials=10) == 0.0
+    assert expected_sq_dist_to_lattice(np.array([0.5]), [law]) == pytest.approx(0.0)
+    assert expected_sq_dist_to_lattice(np.array([0.0]), [law]) == 0.0
 
 
 def test_expected_distance_is_additive_across_coordinates():
     law = rademacher()
-    one = expected_sq_dist_to_lattice(np.array([0.3]), [law], mc_trials=10)
-    two = expected_sq_dist_to_lattice(np.array([0.3, 0.3]), [law, law], mc_trials=10)
+    one = expected_sq_dist_to_lattice(np.array([0.3]), [law])
+    two = expected_sq_dist_to_lattice(np.array([0.3, 0.3]), [law, law])
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -127,7 +127,7 @@ def quad_esd(law, y):
 
 def test_expected_distance_mc_matches_quadrature():
     # gaussian symmetrized coordinate: X - X' ~ N(0, 2)
-    est = expected_sq_dist_to_lattice(np.array([0.5]), [gaussian()], mc_trials=400_000)
+    est = expected_sq_dist_to_lattice(np.array([0.5]), [gaussian()])
     assert est == pytest.approx(quad_esd(gaussian(), 0.5), rel=1e-12, abs=0.0)
 
 
@@ -141,15 +141,15 @@ ORACLE_YS = [0.0, 1e-8, 1e-3, 0.02, _SIGMA_EDGE * 0.999, _SIGMA_EDGE, _SIGMA_EDG
 
 @pytest.mark.parametrize("law", [gaussian(), uniform_scaled()], ids=lambda law: law.kind)
 def test_closed_forms_match_quadrature(law):
-    got = [expected_sq_dist_to_lattice(np.array([y]), [law], 1) for y in ORACLE_YS]
+    got = [expected_sq_dist_to_lattice(np.array([y]), [law]) for y in ORACLE_YS]
     assert got == pytest.approx([quad_esd(law, y) for y in ORACLE_YS], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("law", [gaussian(), uniform_scaled()], ids=lambda law: law.kind)
 def test_closed_forms_are_even_and_tend_to_one_twelfth(law):
     for y in ORACLE_YS + [1e3, 1e6]:
-        value = expected_sq_dist_to_lattice(np.array([y]), [law], 1)
-        assert expected_sq_dist_to_lattice(np.array([-y]), [law], 1) == value
+        value = expected_sq_dist_to_lattice(np.array([y]), [law])
+        assert expected_sq_dist_to_lattice(np.array([-y]), [law]) == value
         if y >= 2.5:
             # the uniform form is 1/12 + c / (12 a^2) with |c| <= 1/8, a = 2 sqrt(3) y
             assert abs(value - 1.0 / 12.0) <= 1.0 / (1152.0 * y * y)
@@ -160,25 +160,8 @@ def test_closed_forms_are_even_and_tend_to_one_twelfth(law):
 def test_closed_forms_match_symmetrized_draws(law, y):
     r = y * law.sample_symmetrized(np.random.default_rng(17), 200_000)
     r = (r - np.round(r)) ** 2
-    exact = expected_sq_dist_to_lattice(np.array([y]), [law], 1)
+    exact = expected_sq_dist_to_lattice(np.array([y]), [law])
     assert abs(float(np.mean(r)) - exact) <= 5.0 * float(np.std(r)) / math.sqrt(r.size)
-
-
-def test_expected_distance_needs_no_stream():
-    stream = np.random.default_rng(5)
-    state = stream.bit_generator.state
-    y, laws = np.array([0.5, -1.3]), [gaussian(), uniform_scaled()]
-    assert (expected_sq_dist_to_lattice(y, laws, 100)
-            == expected_sq_dist_to_lattice(y, laws, 100, stream))
-    assert stream.bit_generator.state == state
-
-
-def test_expected_distance_mixed_laws_deterministic():
-    y = np.array([0.3, 0.7])
-    laws = [rademacher(), gaussian()]
-    a = expected_sq_dist_to_lattice(y, laws, 5000, np.random.default_rng(5))
-    b = expected_sq_dist_to_lattice(y, laws, 5000, np.random.default_rng(5))
-    assert a == b
 
 
 def test_matrix_lattice_distance_known_values():
@@ -255,7 +238,7 @@ def test_rlcd_witness_satisfies_inequality(rng):
     prof = _scalar_profile()
     est = rlcd_estimate(np.array([[1.0]]), prof, [0], params, rng)
     y = np.array([[1.0]]).T @ est.witness
-    lhs = expected_sq_dist_to_lattice(y, prof.column(0), 10)
+    lhs = expected_sq_dist_to_lattice(y, prof.column(0))
     rhs = params.L**2 * log_plus(params.alpha * float(np.linalg.norm(y)) / params.L)
     assert lhs < rhs
 

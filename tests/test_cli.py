@@ -399,13 +399,12 @@ def test_ri_select_campaign(tmp_path):
 
 def test_tensorize_campaign(tmp_path):
     out = str(tmp_path / "out")
-    cfg = parse_campaign(
-        "kind = tensorize\nseed = 6\nn = 2\nt = 0.25,0.8\ntrials = 20000\n")
+    cfg = parse_campaign("kind = tensorize\nseed = 6\nn = 2\nt = 0.25,0.8\n")
     assert run_campaign(cfg, out_dir=out) == 0
     rows = read_results(out)
-    assert float(rows[0][4]) == 0.125  # exact region
-    assert rows[0][5] == ""  # no stderr for the exact value
-    assert rows[1][5] != ""
+    # P(U1 + U2 <= 0.5) = 1/8 and P(U1 + U2 <= 1.6) = 1 - 0.4^2 / 2, both exact
+    assert [float(r[4]) for r in rows] == [0.125, 0.92]
+    assert [(r[5], r[6]) for r in rows] == [("", "1"), ("", "1")]
     assert os.path.exists(os.path.join(out, "tensorize.exact.tsv"))
     assert os.path.exists(os.path.join(out, "tensorize.bound.tsv"))
 
@@ -424,8 +423,6 @@ def test_norms_campaign(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("kind = norms\nseed = 7\nprofile = rademacher\nn = 3\ntrials = 0\n",
-     "line 5: key 'trials' must be at least 1, got '0'"),
-    ("kind = tensorize\nseed = 6\nn = 3\nt = 0.5\ntrials = 0\n",
      "line 5: key 'trials' must be at least 1, got '0'"),
     ("kind = round\nseed = 1\nn = 4\nl = 0\ndelta = 0.1\nrho = 0.3\nprofile = rademacher\n",
      "line 4: key 'l' must be at least 1, got '0'"),
@@ -455,7 +452,7 @@ def test_norms_campaign(tmp_path):
      "line 4: key 'n' must list sizes of at least 1, got 0"),
     ("kind = round\nseed = 1\nn = 4\ndelta = 0.1\nrho = 0.3\nmc_trials = 0\nprofile = gaussian\n",
      "line 6: key 'mc_trials' must be at least 1, got '0'"),
-], ids=["norms-trials", "tensorize-trials", "round-l-zero", "round-l-negative",
+], ids=["norms-trials", "round-l-zero", "round-l-negative",
         "rank-tail-trials", "sample-n", "sample-cols", "rank-tail-n", "rank-tail-exact-n",
         "singular-tail-n", "rlcd-n", "round-n", "ri-select-cols", "tensorize-n", "norms-n",
         "round-mc-trials"])
@@ -485,6 +482,7 @@ def test_singular_tail_errors_name_their_line(tmp_path, capsys, extra, message):
 
 ROUND_CFG = "kind = round\nseed = 1\nn = 4\ndelta = 0.1\nrho = 0.3\nprofile = rademacher\n"
 RI_CFG = "kind = ri-select\nseed = 1\nrows = 3\ncols = 5\nprofile = rademacher\n"
+TENSORIZE_CFG = "kind = tensorize\nseed = 1\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -503,10 +501,13 @@ RI_CFG = "kind = ri-select\nseed = 1\nrows = 3\ncols = 5\nprofile = rademacher\n
     (RI_CFG + "l = 0\n", "line 6: key 'l' must lie in [1, 2], got '0'"),
     (RI_CFG.replace("rows = 3\ncols = 5", "rows = 5\ncols = 3") + "l = 2\n",
      "line 4: key 'cols' must lie in [5, inf), got '3'"),
+    (TENSORIZE_CFG + "n = 25\nt = 0.5\n", "line 3: key 'n' must lie in [1, 20], got '25'"),
+    (TENSORIZE_CFG + "n = 3\nt = 0.5,1.5\n", "line 4: key 't' must lie in (0, 1], got '0.5,1.5'"),
+    (TENSORIZE_CFG + "n = 3\nt = nan\n", "line 4: key 't' must lie in (0, 1], got 'nan'"),
 ], ids=["rlcd-mc-trials", "rlcd-alpha", "rlcd-L", "rlcd-radius-cap", "rlcd-radius-cap-inf",
         "rlcd-resolution",
         "round-delta", "round-rho", "round-tau", "round-r", "round-c-op", "ri-select-l-big",
-        "ri-select-l-zero", "ri-select-tall"])
+        "ri-select-l-zero", "ri-select-tall", "tensorize-n", "tensorize-t", "tensorize-t-nan"])
 def test_parameter_ranges_name_their_line(tmp_path, capsys, text, message):
     out = str(tmp_path / "out")
     assert run_campaign(parse_campaign(text), out_dir=out) == 2
@@ -809,6 +810,38 @@ def test_report_subcommand(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "results: 1 row(s)" in captured
     assert "manifest: present" in captured
+
+
+@pytest.mark.parametrize("row", _ROWS, ids=_row_id)
+def test_report_passes_a_clean_run(tmp_path, capsys, row):
+    out = tmp_path / "out"
+    assert run_campaign(parse_campaign(_row_campaign(tmp_path, row)), out_dir=str(out)) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_report_names_another_kinds_leftovers(tmp_path, capsys):
+    out = tmp_path / "out"
+    tail = ("kind = singular-tail\nid = x\nseed = 3\nn = 4\nk = 2\nepsilon = 0.1,0.5\n"
+            "trials = 50\nprofile = rademacher\n")
+    assert run_campaign(parse_campaign(tail), out_dir=str(out)) == 0
+    tensorize = "kind = tensorize\nid = x\nseed = 1\nn = 2\nt = 0.5\n"
+    assert run_campaign(parse_campaign(tensorize), out_dir=str(out)) == 0
+    (out / "notes.txt").write_text("mine\n")
+    names = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" is not written")[0] for line in err] == [
+        f"rmtlab: {out / name}" for name in ("notes.txt", "x.tail.tsv")]
+    assert sorted(os.listdir(out)) == names  # report removes nothing
+    (out / "manifest.txt").write_text("kind = tensorize\nseed = 1\ntrials = 5\n")
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"rmtlab: {out / 'manifest.txt'}: line 3:")
+    assert sorted(os.listdir(out)) == names
+    (out / "manifest.txt").unlink()
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"rmtlab: {out / 'manifest.txt'}: ")
 
 
 def test_report_subcommand_empty_dir(tmp_path, capsys):

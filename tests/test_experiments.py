@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from rmtlab import experiments
-from rmtlab.arithmetic import RLCDParams
-from rmtlab.ensembles import (EntryProfile, discrete, gaussian, parse_law_spec,
-                              profile_from_rules, rademacher, sample_matrix, sparse_bernoulli,
-                              uniform_scaled)
+from rmtlab.arithmetic import RLCDParams, esseen_bound_eval, levy_estimate
+from rmtlab.ensembles import (EntryProfile, check_psi2_cap, discrete, gaussian,
+                              paley_zygmund_floor, parse_law_spec, profile_from_rules,
+                              rademacher, sample_matrix, sparse_bernoulli, uniform_scaled)
 from rmtlab.errors import ResourceLimitError
 from rmtlab.experiments import (
     DET_RANK_MAX_N,
@@ -35,6 +35,7 @@ from rmtlab.experiments import (
     trial_matrix,
 )
 from rmtlab.linalg import numerical_rank, singular_spectrum
+from rmtlab.rounding import RoundingParams, randomized_round
 
 
 def _config(n, k, law=None, **kwargs):
@@ -471,18 +472,26 @@ def test_tensorization_exact_values():
     assert bound1 == pytest.approx(math.e * 0.3)
 
 
-def test_tensorization_mc_against_closed_form(rng):
+def test_tensorization_mc_against_closed_form():
     # n = 2, t = 0.8: P(U1 + U2 <= 1.6) = 1 - (2 - 1.6)^2 / 2 = 0.92
-    prob, _ = tensorization_check(2, 0.8, trials=100_000, stream=rng)
-    se = math.sqrt(0.92 * 0.08 / 100_000)
-    assert abs(prob - 0.92) <= 4 * se
+    prob, _ = tensorization_check(2, 0.8)
+    assert abs(prob - 0.92) <= math.ulp(0.92)
 
 
 def test_tensorization_probability_below_bound():
     for n in (1, 2, 3, 5, 8):
         for t in (0.05, 0.1, 0.2, 0.4):
-            prob, bound = tensorization_check(n, t, trials=20_000)
+            prob, bound = tensorization_check(n, t)
             assert prob <= bound
+
+
+def test_tensorization_is_symmetric_and_monotone():
+    # the mean of n uniforms is symmetric about 1/2 and at most 1
+    for n in range(1, 21):
+        assert tensorization_check(n, 0.5)[0] == 0.5
+        assert tensorization_check(n, 1.0)[0] == 1.0
+        probs = [tensorization_check(n, float(t))[0] for t in np.arange(0.05, 1.0, 0.05)]
+        assert probs == sorted(probs)
 
 
 def test_tensorization_validation():
@@ -499,9 +508,7 @@ def test_tensorization_validation():
 # --- norm thresholds ---
 
 
-def test_tensorization_and_norm_checks_refuse_zero_trials():
-    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
-        tensorization_check(3, 0.5, trials=0)
+def test_norm_check_refuses_zero_trials():
     with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
         norm_concentration_mc(rademacher(), [3], 0, np.random.default_rng(0))
 
@@ -590,6 +597,34 @@ def test_kernel_event_params_validation():
         KernelEventParams(tau=1.0, rho=0.3, r=0.01, L=1.0)
     with pytest.raises(ValueError):
         KernelEventParams(tau=0.4, rho=0.3, r=0.0, L=1.0)
+
+
+_RLCD = dict(L=1.0, alpha=0.5, radius_cap=3.0, resolution=0.5)
+_ROUND = dict(delta=0.1, rho=0.3, tau=0.5, K=2.0, r=0.05, c_op=3.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EntryProfile.homogeneous(3, 3, sparse_bernoulli(0.01), math.nan),
+    lambda: check_psi2_cap(sparse_bernoulli(0.01), math.nan),
+    lambda: RLCDParams(**dict(_RLCD, L=math.nan)),
+    lambda: RLCDParams(**dict(_RLCD, resolution=math.nan)),
+    lambda: RLCDParams(**dict(_RLCD, radius_cap=math.inf)),
+    lambda: RoundingParams(**dict(_ROUND, delta=math.nan)),
+    lambda: RoundingParams(**dict(_ROUND, r=math.nan)),
+    lambda: RoundingParams(**dict(_ROUND, c_op=math.nan)),
+    lambda: RoundingParams(**dict(_ROUND, K=math.nan)),
+    lambda: KernelEventParams(tau=0.4, rho=0.3, r=math.nan, L=1.0),
+    lambda: randomized_round(np.array([0.3]), math.nan, np.random.default_rng(0)),
+    lambda: levy_estimate(lambda s, c: s.standard_normal(c), math.nan, 200,
+                          np.random.default_rng(0)),
+    lambda: paley_zygmund_floor(math.nan),
+    lambda: esseen_bound_eval(1, 1.0, 0.5, math.nan, 2.0, 0.1, 1.0),
+], ids=["profile-k_cap", "psi2-cap", "rlcd-L", "rlcd-resolution", "rlcd-radius_cap-inf",
+        "round-delta", "round-r", "round-c_op", "round-K", "kernel-r", "randomized-round-delta",
+        "levy-t", "paley-zygmund-K", "esseen-det-root"])
+def test_parameter_checks_refuse_nan_and_inf(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def _kernel_fixture(stream, n=30, l=3, scale=None, r=0.01):

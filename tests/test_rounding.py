@@ -9,17 +9,12 @@ from rmtlab.errors import ResourceLimitError
 from rmtlab.rounding import (
     RoundingParams,
     annulus_check,
-    default_delta,
     in_rounding_net,
     randomized_round,
     rounding_report,
     sample_lattice_shell,
 )
 from rmtlab.sphere import SphereParams, dist_to_sparse
-
-
-def test_default_delta():
-    assert default_delta(0.3) == pytest.approx(0.03)
 
 
 def test_params_validation():
@@ -170,10 +165,10 @@ def test_report_refuses_zero_span_samples(rng):
 
 def test_annulus_without_kept_samples_passes_vacuously(rng):
     prof = EntryProfile.homogeneous(4, 4, rademacher(), 2.0)
-    check = annulus_check(np.eye(4)[:, :2], prof, 1e6, 0.5, rng, n_samples=50, mc_trials=10)
+    check = annulus_check(np.eye(4)[:, :2], prof, 1e6, 0.5, rng, n_samples=50)
     assert (check.measured, check.passed) == (math.inf, True)
     with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
-        annulus_check(np.eye(4)[:, :2], prof, 1e6, 0.5, rng, n_samples=0, mc_trials=10)
+        annulus_check(np.eye(4)[:, :2], prof, 1e6, 0.5, rng, n_samples=0)
 
 
 def test_report_shape_mismatch(rng):

@@ -34,7 +34,7 @@ def brute_force_sparse_distance(x: np.ndarray, budget: int) -> float:
 
 def test_params_validate_open_interval():
     SphereParams(0.1, 0.2)
-    for field in ("delta", "rho", "nu", "tau"):
+    for field in ("delta", "rho", "tau"):
         with pytest.raises(ValueError):
             SphereParams(**{"delta": 0.1, "rho": 0.2, field: 0.0})
         with pytest.raises(ValueError):

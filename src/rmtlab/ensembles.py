@@ -451,9 +451,12 @@ def sample_matrix(profile: EntryProfile, stream: np.random.Generator,
     ``count``, a (count, n_rows, n_cols) stack.  Each law of ``profile.laws``
     is drawn in turn in one vectorized call of shape (count, cells), in
     row-major cell order, so ``sample_matrix(p, s, 1)[0]`` equals
-    ``sample_matrix(p, s)`` bit for bit.
+    ``sample_matrix(p, s)`` bit for bit.  A one-law profile draws the whole
+    stack in one call of the output's shape, which consumes the stream alike.
     """
     lead = () if count is None else (count,)
+    if profile.is_homogeneous:
+        return profile.laws[0].sample(stream, lead + profile.codes.shape)
     out = np.empty(lead + (profile.codes.size,))
     for law, cells in zip(profile.laws, profile.cells):
         out[..., cells] = law.sample(stream, lead + (cells.size,))

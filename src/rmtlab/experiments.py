@@ -36,7 +36,7 @@ import numpy as np
 from .arithmetic import RLCDEstimate, RLCDParams, matrix_lattice_distance, rlcd_estimate
 from .ensembles import DistributionLaw, EntryProfile, sample_matrix
 from .errors import ResourceLimitError
-from .linalg import rank_cutoff
+from .linalg import _one_blas_thread, rank_cutoff
 from .rounding import annulus_check
 from .sphere import almost_orthogonal_check, dist_to_sparse, sampled_span_incompressible
 
@@ -144,19 +144,21 @@ def _map_blocks(config: ExperimentConfig, reduce, n_threads: int) -> None:
     """Call reduce(start, mats) with every block's first trial and matrices.
 
     At most one thread per block; a single block runs on the calling thread, since a
-    pool would only add its start-up.
+    pool would only add its start-up.  numpy's OpenBLAS runs on one thread meanwhile
+    (:func:`~rmtlab.linalg._one_blas_thread`): the threads here own the cores.
     """
     def do_block(block: int) -> None:
         reduce(block * TRIAL_BLOCK, _block_matrices(config, block))
 
     blocks = range(-(-config.trials // TRIAL_BLOCK))
     n_threads = min(n_threads, len(blocks))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(do_block, blocks))
-    else:
-        for block in blocks:
-            do_block(block)
+    with _one_blas_thread():
+        if n_threads > 1:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                list(pool.map(do_block, blocks))
+        else:
+            for block in blocks:
+                do_block(block)
 
 
 def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
@@ -412,7 +414,8 @@ def norm_concentration_mc(law: DistributionLaw, n_grid, trials: int,
     for i, n in enumerate(n_grid):
         profile = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
         mats = sample_matrix(profile, stream, trials)
-        svals = np.linalg.svd(mats, compute_uv=False)
+        with _one_blas_thread():
+            svals = np.linalg.svd(mats, compute_uv=False)
         op_hits = int(np.sum(svals[:, 0] >= c_op * math.sqrt(n)))
         hs = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
         hs_hits = int(np.sum(hs >= 2.0 * c_hs * n))

@@ -7,9 +7,14 @@ singular value) are asserted by the test suite against independent routes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +134,59 @@ def minmax_kth_smallest(matrix: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     _, s, vt = np.linalg.svd(m)
     witness = vt[n_cols - k:, :].T
     return float(s[n_cols - k]), witness
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if not found.
+
+    Looked up on first use, not at import.  Only numpy's wheel copy in
+    ``numpy.libs`` is searched; MKL, Accelerate or a system BLAS give None.
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, then restore the caller's count.
+
+    Batched SVDs of many matrices gain more from threads over whole blocks than
+    from BLAS threads inside each SVD, which oversubscribe the cores.  The count
+    is process-wide: overlapping blocks from several threads share one pin, set
+    by the first to enter and restored by the last to leave.  A no-op when
+    numpy's OpenBLAS is not found.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        blas = _openblas()
+        if blas is not None:
+            if _blas_depth == 0:
+                _blas_saved = blas[0]()
+                blas[1](1)
+            _blas_depth += 1
+    try:
+        yield
+    finally:
+        if blas is not None:
+            with _blas_lock:
+                _blas_depth -= 1
+                if _blas_depth == 0:
+                    blas[1](_blas_saved)
 
 
 def _remove(path) -> None:

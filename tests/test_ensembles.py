@@ -402,6 +402,23 @@ def test_sample_matrix_homogeneous_batch_equals_repeated_draws(law):
     np.testing.assert_array_equal(sample_matrix(prof, np.random.default_rng(5), 6), loop)
 
 
+@pytest.mark.parametrize("law", [rademacher(), gaussian(), uniform_scaled(),
+                                 sparse_bernoulli(0.3), discrete([-1.0, 0.0, 2.0],
+                                                                 [0.25, 0.5, 0.25])],
+                         ids=lambda law: law.kind)
+@pytest.mark.parametrize("count", [None, 1, 256])
+def test_one_law_profile_draw_equals_scatter_path(law, count):
+    prof = EntryProfile.homogeneous(6, 9, law, 10.0)
+    lead = () if count is None else (count,)
+    stream = np.random.default_rng(17)
+    scatter = np.empty(lead + (prof.codes.size,))
+    for cells_law, cells in zip(prof.laws, prof.cells):
+        scatter[..., cells] = cells_law.sample(stream, lead + (cells.size,))
+    drawn = sample_matrix(prof, np.random.default_rng(17), count)
+    assert drawn.shape == lead + (6, 9) and drawn.dtype == np.float64
+    assert drawn.tobytes() == scatter.tobytes()
+
+
 def test_sample_matrix_batch_places_each_law_on_its_cells():
     prof = _mixed_profile()
     batch = sample_matrix(prof, np.random.default_rng(2), 300)

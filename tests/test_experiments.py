@@ -1,12 +1,14 @@
 import itertools
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rmtlab import experiments
+from rmtlab import experiments, linalg
 from rmtlab.arithmetic import RLCDParams, esseen_bound_eval, levy_estimate
 from rmtlab.ensembles import (EntryProfile, check_psi2_cap, discrete, gaussian,
                               paley_zygmund_floor, parse_law_spec, profile_from_rules,
@@ -140,6 +142,112 @@ def test_one_block_runs_on_the_calling_thread(monkeypatch):
     rank_tail_counts(_config(6, 2, trials=TRIAL_BLOCK, master_seed=54), [1, 2], n_threads=3)
     with pytest.raises(AssertionError, match="thread pool"):
         run_trials(_config(6, 2, trials=TRIAL_BLOCK + 1, master_seed=55), n_threads=2)
+
+
+def _blas_threads():
+    return linalg._openblas()[0]()
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS on two threads for the test, then back at the caller's count."""
+    blas = linalg._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found; the BLAS pin is a no-op")
+    caller = blas[0]()
+    blas[1](2)
+    yield
+    blas[1](caller)
+
+
+@pytest.mark.parametrize("n", [100, 128])
+def test_large_n_tables_match_unpinned_svd_at_any_thread_count(n):
+    # At these sizes OpenBLAS splits one SVD over threads; n = 6 never reaches that path.
+    cfg = _config(n, 2, law=gaussian(), trials=TRIAL_BLOCK + 1, master_seed=60 + n)
+    table = run_trials(cfg)
+    assert run_trials(cfg, n_threads=2).tobytes() == table.tobytes()
+    svals = np.concatenate([np.linalg.svd(experiments._block_matrices(cfg, b), compute_uv=False)
+                            for b in (0, 1)])
+    np.testing.assert_array_equal(table["s_largest"], svals[:, 0])
+    np.testing.assert_array_equal(table["s_bottom"], svals[:, ::-1][:, :2])
+    np.testing.assert_array_equal(table["rank_at_tol"],
+                                  np.sum(svals > n * np.finfo(float).eps * svals[:, :1], axis=1))
+
+
+def test_blas_runs_on_one_thread_inside_blocks_and_is_restored(blas_at_two):
+    seen = []
+
+    def record(start, mats):
+        seen.append(_blas_threads())
+
+    def fail(start, mats):
+        raise RuntimeError("reduction failed")
+
+    cfg = _config(4, 1, trials=3 * TRIAL_BLOCK, master_seed=61)
+    for n_threads in (1, 2):
+        experiments._map_blocks(cfg, record, n_threads)
+        assert _blas_threads() == 2
+        with pytest.raises(RuntimeError, match="reduction failed"):
+            experiments._map_blocks(cfg, fail, n_threads)
+        assert _blas_threads() == 2
+    assert seen == [1] * 6
+
+
+def test_overlapping_pins_restore_the_count_once(blas_at_two):
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with linalg._one_blas_thread():
+            entered.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=hold)
+    try:
+        with linalg._one_blas_thread():
+            worker.start()
+            assert entered.wait(10)
+        assert _blas_threads() == 1  # the worker's block is still open
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert _blas_threads() == 2
+
+
+def test_many_threads_pinning_at_once_leave_the_count_restored(blas_at_two):
+    inside = []
+
+    def churn():
+        for _ in range(1000):
+            with linalg._one_blas_thread():
+                inside.append(_blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert inside == [1] * 8000
+    assert _blas_threads() == 2 and linalg._blas_depth == 0
+
+
+def test_norm_check_svd_runs_on_one_blas_thread(blas_at_two, monkeypatch):
+    svd, seen = np.linalg.svd, []
+
+    def recording_svd(*args, **kwargs):
+        seen.append(_blas_threads())
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    norm_concentration_mc(rademacher(), [3, 5], 40, np.random.default_rng(0))
+    assert seen == [1, 1]
+    assert _blas_threads() == 2
 
 
 def test_run_trials_table_contents():

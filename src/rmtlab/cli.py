@@ -258,18 +258,21 @@ def _build_profile(campaign, n_rows: int, n_cols: int) -> EntryProfile:
     if not specs:
         raise CampaignError(f"{campaign.kind} campaign needs a profile "
                             "(profile = <law> or law.<i>.<j> rules)")
+    laws = {}  # spec text -> law: each distinct spec is parsed and capped once
     rules = []
     for line_no, _, value, (row, col) in specs:
         for name, sel, size in (("row", row, n_rows), ("column", col, n_cols)):
             if sel != "*" and not 0 <= sel < size:
                 raise CampaignError(f"line {line_no}: profile rule {name} {sel} "
                                     f"out of range for {size} {name}s")
-        try:
-            law = parse_law_spec(value)
-            check_psi2_cap(law, k_cap)
-        except ValueError as exc:
-            raise CampaignError(f"line {line_no}: {exc}")
-        rules.append((row, col, law))
+        if value not in laws:
+            try:
+                law = parse_law_spec(value)
+                check_psi2_cap(law, k_cap)
+            except ValueError as exc:
+                raise CampaignError(f"line {line_no}: {exc}")
+            laws[value] = law
+        rules.append((row, col, laws[value]))
     try:
         return profile_from_rules(rules, n_rows, n_cols, k_cap)
     except ValueError as exc:

@@ -149,8 +149,28 @@ class DistributionLaw:
             return stream.standard_normal(size)
         if self.kind == "uniform":
             return stream.uniform(-_SQRT3, _SQRT3, size=size)
-        draw = stream.choice(np.asarray(self.atoms), size=size, p=np.asarray(self.weights))
+        atoms, cdf = self._atom_table
+        u = stream.random(size)
+        index = (u >= cdf[0]).astype(np.intp)
+        for edge in cdf[1:]:
+            index += u >= edge
+        draw = atoms[index]
         return float(draw) if size is None else draw
+
+    @cached_property
+    def _atom_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms as an array, and the inner edges of the cdf that :meth:`sample` counts.
+
+        The cdf is ``Generator.choice``'s: the weights' cumulative sum divided by its last
+        entry.  An entry draws u uniform in [0, 1) and takes the atom whose index is the
+        number of edges at or below u, which is the index ``choice`` finds by binary
+        search, so the draw and the stream state afterwards equal
+        ``stream.choice(atoms, size, p=weights)`` bit for bit.  The last edge is 1.0,
+        never at or below u, and is dropped.
+        """
+        cdf = np.asarray(self.weights).cumsum()
+        cdf /= cdf[-1]
+        return np.asarray(self.atoms), cdf[:-1]
 
     def sample_symmetrized(self, stream: np.random.Generator, size=None):
         """One draw of X - X' with X, X' independent copies."""
@@ -217,6 +237,11 @@ def discrete(atoms, weights, declared_psi2: float | None = None) -> Distribution
     w = np.asarray(weights, dtype=float)
     if a.shape != w.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("discrete law needs matching 1-d atoms/weights with >= 2 atoms")
+    for name, values in (("atom", a), ("weight", w)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"discrete law needs finite atoms and weights, "
+                             f"got {name} {float(bad[0])!r}")
     if np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
         raise ValueError(f"discrete law weights must be >= 0 and sum to 1, got sum {np.sum(w)!r}")
     mean, var = atom_moments(a, w)
@@ -295,15 +320,20 @@ class EntryProfile:
         if not self.k_cap > 0:
             raise ValueError(f"k_cap must be positive, got {self.k_cap}")
         merged: dict[DistributionLaw, int] = {}
-        codes = np.array([merged.setdefault(law, len(merged)) for law in self.laws],
-                         dtype=np.intp)[codes]
-        used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        order = np.argsort(first)
+        lut = np.array([merged.setdefault(law, len(merged)) for law in self.laws], dtype=np.intp)
+        # First flat index of each code, then of each merged law: one scatter over the cells.
+        first = np.full(len(self.laws), codes.size, dtype=np.intp)
+        np.minimum.at(first, codes.ravel(), np.arange(codes.size))
+        merged_first = np.full(len(merged), codes.size, dtype=np.intp)
+        np.minimum.at(merged_first, lut, first)
+        order = np.argsort(merged_first)[:np.count_nonzero(merged_first < codes.size)]
         distinct = list(merged)
-        laws = tuple(distinct[c] for c in used[order])
+        laws = tuple(distinct[c] for c in order)
         for law in laws:
             check_psi2_cap(law, self.k_cap)
-        codes = np.argsort(order)[inverse].reshape(codes.shape)
+        renumber = np.zeros(len(merged), dtype=np.intp)
+        renumber[order] = np.arange(order.size)
+        codes = renumber[lut][codes]
         codes.flags.writeable = False
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "codes", codes)

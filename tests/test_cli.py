@@ -341,6 +341,41 @@ def test_profile_rule_errors_name_their_line(tmp_path, capsys):
     assert "line 4: unknown law spec 'lognormal'" in capsys.readouterr().err
 
 
+def test_non_finite_discrete_spec_names_its_first_line(tmp_path, capsys):
+    spec = "discrete(nan:0.5,1:0.5)"
+    cfg = parse_campaign(f"kind = sample\nseed = 1\nn = 3\nprofile = rademacher\n"
+                         f"law.0.* = {spec}\nlaw.1.* = gaussian\nlaw.2.* = {spec}\n")
+    assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
+    assert "line 5: discrete law needs finite atoms and weights, got atom nan" in \
+        capsys.readouterr().err
+
+
+def test_profile_parses_each_distinct_spec_once(monkeypatch):
+    rules = ["law.*.1 = gaussian", "law.2.* = sparse-bernoulli(0.3)", "law.*.4 = gaussian",
+             "law.0.0 = discrete(0:0.5,1:0.25,3:0.25)", "law.4.* = sparse-bernoulli(0.3)",
+             "law.3.3 = discrete(0:0.5,1:0.25,3:0.25)", "law.1.* = rademacher"]
+    cfg = parse_campaign("kind = sample\nseed = 1\nn = 5\nk_cap = 3\nprofile = rademacher\n"
+                         + "".join(rule + "\n" for rule in rules))
+    parsed = []
+
+    real_parse = cli.parse_law_spec
+
+    def counting(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(cli, "parse_law_spec", counting)
+    profile = cli._build_profile(cfg, 5, 5)
+    assert sorted(parsed) == sorted({"rademacher", "gaussian", "sparse-bernoulli(0.3)",
+                                     "discrete(0:0.5,1:0.25,3:0.25)"})
+    rule_by_rule = [("*", "*", real_parse("rademacher"))]
+    for rule in rules:
+        key, _, value = rule.partition(" = ")
+        rule_by_rule.append((*cli.parse_rule_key(key), real_parse(value)))
+    want = cli.profile_from_rules(rule_by_rule, 5, 5, 3.0)
+    assert profile == want and profile.codes.tobytes() == want.codes.tobytes()
+
+
 @pytest.mark.parametrize("rule, message", [
     ("law.5.0 = gaussian", "profile rule row 5 out of range for 3 rows"),
     ("law.-1.0 = gaussian", "profile rule row -1 out of range for 3 rows"),

@@ -148,6 +148,16 @@ def test_discrete_rejects_bad_weights():
         discrete([-1.0, 1.0], [1.1, -0.1])
 
 
+@pytest.mark.parametrize("spec, bad", [
+    ("discrete(nan:0.5,1:0.5)", "atom nan"),
+    ("discrete(1:nan,-1:nan)", "weight nan"),
+    ("discrete(inf:0.5,-inf:0.5)", "atom inf"),
+])
+def test_discrete_names_a_non_finite_atom_or_weight(spec, bad):
+    with pytest.raises(ValueError, match=f"needs finite atoms and weights, got {bad}$"):
+        parse_law_spec(spec)
+
+
 def test_discrete_rejects_degenerate_support():
     with pytest.raises(ValueError):
         discrete([2.0], [1.0])
@@ -417,6 +427,66 @@ def test_one_law_profile_draw_equals_scatter_path(law, count):
     drawn = sample_matrix(prof, np.random.default_rng(17), count)
     assert drawn.shape == lead + (6, 9) and drawn.dtype == np.float64
     assert drawn.tobytes() == scatter.tobytes()
+
+
+_FINITE_LAWS = [
+    sparse_bernoulli(0.3), sparse_bernoulli(0.5), sparse_bernoulli(1.0),
+    discrete([-1.0, 2.0], [2 / 3, 1 / 3]),
+    discrete([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]),
+    discrete([5.0, -2.0, 0.0, 1.0], [0.0, 0.25, 0.5, 0.25]),
+    discrete([-2.0, 0.0, 1.0, 4.0, 9.0], [0.3, 0.3, 0.2, 0.2, 0.0]),
+]
+
+
+@pytest.mark.parametrize("law", _FINITE_LAWS, ids=lambda law: law.spec_string())
+@pytest.mark.parametrize("size", [None, 7, (12, 30), (3, 4, 5)], ids=str)
+def test_finite_draw_equals_generator_choice(law, size):
+    for seed in range(25):
+        stream, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = law.sample(stream, size)
+        want = ref.choice(np.asarray(law.atoms), size, p=np.asarray(law.weights))
+        if size is None:
+            assert type(draw) is float and np.float64(draw).tobytes() == want.tobytes()
+        else:
+            assert draw.dtype == want.dtype and draw.shape == want.shape
+            assert draw.tobytes() == want.tobytes()
+        assert stream.bit_generator.state == ref.bit_generator.state
+
+
+def _renumbered_by_unique(laws, codes):
+    """Reference: the np.unique renumbering that EntryProfile's one-pass scatter replaced."""
+    merged = {}
+    codes = np.array([merged.setdefault(law, len(merged)) for law in laws], dtype=np.intp)[codes]
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    distinct = list(merged)
+    return tuple(distinct[c] for c in used[order]), np.argsort(order)[inverse].reshape(codes.shape)
+
+
+def _renumbering_cases():
+    stream = np.random.default_rng(2024)
+    # Equal laws built separately, repeated objects, and laws no cell uses.
+    pool = (gaussian(), rademacher(), gaussian(), sparse_bernoulli(0.5), sparse_bernoulli(0.5),
+            uniform_scaled(), discrete([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]),
+            discrete([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]), rademacher())
+    for _ in range(30):
+        shape = tuple(int(v) for v in stream.integers(1, 12, size=2))
+        used = stream.choice(len(pool), size=int(stream.integers(1, len(pool) + 1)), replace=False)
+        yield pool, stream.choice(used, size=shape)
+    # 128 laws, one per column; then with cells recoded to duplicate entries of laws 0..4.
+    wide = tuple(discrete([0.0, 1.0, j + 2.0], [0.3, 0.3, 0.4]) for j in range(128))
+    columns = np.tile(stream.permutation(128), (128, 1))
+    yield wide, columns
+    yield wide + wide[:5], np.where(stream.random((128, 128)) < 0.3, columns % 5 + 128, columns)
+
+
+def test_profile_renumbering_matches_unique_reference():
+    for laws, codes in _renumbering_cases():
+        prof = EntryProfile(laws, codes, 10.0)
+        want_laws, want_codes = _renumbered_by_unique(laws, codes)
+        assert prof.laws == want_laws
+        assert prof.codes.dtype == want_codes.dtype
+        assert prof.codes.tobytes() == want_codes.tobytes()
 
 
 def test_sample_matrix_batch_places_each_law_on_its_cells():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmtlab import experiments, linalg
+from rmtlab import cli, experiments, linalg
 from rmtlab.arithmetic import RLCDParams, esseen_bound_eval, levy_estimate
 from rmtlab.ensembles import (EntryProfile, check_psi2_cap, discrete, gaussian,
                               paley_zygmund_floor, parse_law_spec, profile_from_rules,
@@ -133,13 +133,27 @@ def test_thread_count_does_not_change_tables_or_counts(trials):
             assert rank_tail_counts(signs, ks, n_threads=threads).tolist() == want, ks
 
 
-def test_one_block_runs_on_the_calling_thread(monkeypatch):
+def test_one_block_or_one_thread_starts_no_pool(monkeypatch, tmp_path):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
     run_trials(_config(6, 2, law=gaussian(), trials=TRIAL_BLOCK, master_seed=53), n_threads=3)
     rank_tail_counts(_config(6, 2, trials=TRIAL_BLOCK, master_seed=54), [1, 2], n_threads=3)
+    # Four blocks at the default n_threads = 1, through every route and the CLI.
+    many = 3 * TRIAL_BLOCK + 1
+    run_trials(_config(6, 2, law=gaussian(), trials=many, master_seed=56))
+    signs = _config(6, 2, trials=many, master_seed=57)
+    assert experiments._det_route_scale(signs) is not None
+    for ks in ([1], [1, 2]):
+        rank_tail_counts(signs, ks)
+    gauss = _config(6, 2, law=gaussian(), trials=many, master_seed=58)
+    assert experiments._det_route_scale(gauss) is None
+    rank_tail_counts(gauss, [1, 2])
+    for kind, keys in (("rank-tail", "k = 1,2\n"), ("singular-tail", "k = 2\nepsilon = 0.5,1\n")):
+        campaign = cli.parse_campaign(f"kind = {kind}\nseed = 59\nn = 6\ntrials = {many}\n"
+                                      f"profile = rademacher\n{keys}")
+        assert cli.run_campaign(campaign, out_dir=str(tmp_path / kind)) == 0
     with pytest.raises(AssertionError, match="thread pool"):
         run_trials(_config(6, 2, trials=TRIAL_BLOCK + 1, master_seed=55), n_threads=2)
 
@@ -727,9 +741,13 @@ _ROUND = dict(delta=0.1, rho=0.3, tau=0.5, K=2.0, r=0.05, c_op=3.0)
                           np.random.default_rng(0)),
     lambda: paley_zygmund_floor(math.nan),
     lambda: esseen_bound_eval(1, 1.0, 0.5, math.nan, 2.0, 0.1, 1.0),
+    lambda: parse_law_spec("discrete(nan:0.5,1:0.5)"),
+    lambda: parse_law_spec("discrete(1:nan,-1:nan)"),
+    lambda: parse_law_spec("discrete(inf:0.5,-inf:0.5)"),
 ], ids=["profile-k_cap", "psi2-cap", "rlcd-L", "rlcd-resolution", "rlcd-radius_cap-inf",
         "round-delta", "round-r", "round-c_op", "round-K", "kernel-r", "randomized-round-delta",
-        "levy-t", "paley-zygmund-K", "esseen-det-root"])
+        "levy-t", "paley-zygmund-K", "esseen-det-root", "discrete-atom-nan",
+        "discrete-weights-nan", "discrete-atoms-inf"])
 def test_parameter_checks_refuse_nan_and_inf(build):
     with pytest.raises(ValueError):
         build()

@@ -61,7 +61,7 @@ from . import __version__
 from .arithmetic import RLCDParams, rlcd_estimate
 from .ensembles import (EntryProfile, check_psi2_cap, parse_law_spec, parse_rule_key,
                         profile_from_rules, sample_matrix)
-from .errors import CampaignError
+from .errors import CampaignError, ResourceLimitError
 from .experiments import (ExperimentConfig, _binomial, rank_histogram_rademacher,
                           rank_tail_counts, singular_tail_mc, norm_concentration_mc,
                           tensorization_check)
@@ -328,7 +328,10 @@ def _run_rank_tail(campaign, paths, stream, rows, n_threads):
         if campaign.get("profile", "rademacher") != "rademacher":
             raise CampaignError(f"line {campaign.values['profile'][1]}: method = exact "
                                 "enumerates rademacher sign matrices and takes no other profile")
-        hist = rank_histogram_rademacher(n)
+        try:
+            hist = rank_histogram_rademacher(n)
+        except ResourceLimitError as exc:
+            raise CampaignError(f"line {campaign.values['n'][1]}: {exc}")
         exact = [sum(hist[:n - k + 1]) / 2 ** (n * n) for k in ks]
         for k, p in zip(ks, exact):
             rows.append(_row(campaign.experiment_id, n, k, None, p, 0.0,
@@ -355,15 +358,16 @@ def _run_singular_tail(campaign, paths, stream, rows, n_threads):
     k = _c_num(campaign, "k", int)
     eps = _c_grid(campaign, "epsilon", float)
     gamma = _c_num(campaign, "gamma", default=0.25)
+    comparison_c = _c_num(campaign, "comparison_c", default=1.0)
     _c_spans(campaign, ("k", 1 <= k <= n, f"[1, {n}]"),
              ("epsilon", all(e >= 0.0 for e in eps), "[0, inf)"),
-             ("gamma", 0.0 < gamma < 0.5, "(0, 1/2)"))
+             ("gamma", 0.0 < gamma < 0.5, "(0, 1/2)"),
+             ("comparison_c", comparison_c > 0.0, "(0, inf)"))
     trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
     config = ExperimentConfig(profile, n, k, epsilon_grid=tuple(eps), gamma=gamma,
                               trials=trials, master_seed=campaign.seed)
-    tail = singular_tail_mc(config, comparison_c=_c_num(campaign, "comparison_c", default=1.0),
-                            n_threads=n_threads)
+    tail = singular_tail_mc(config, comparison_c=comparison_c, n_threads=n_threads)
     for entry in tail:
         rows.append(_row(campaign.experiment_id, n, k, float(entry["epsilon"]),
                          float(entry["estimate"]), float(entry["stderr"]),
@@ -488,6 +492,9 @@ def _run_ri_select(campaign, paths, stream, rows, n_threads):
     l = _c_num(campaign, "l", int)
     _c_spans(campaign, ("l", 1 <= l <= mat.shape[0] - 1, f"[1, {mat.shape[0] - 1}]"))
     mode = campaign.get("mode", "exhaustive")
+    if mode not in ("exhaustive", "greedy"):
+        raise CampaignError(f"line {campaign.values['mode'][1]}: mode must be 'exhaustive' or "
+                            f"'greedy', got {mode!r}")
     cert = ri_select(mat, l, mode)
     with _create(paths[0]) as fh:
         fh.write("indices,s_l,rhs,ratio\n")
@@ -520,19 +527,23 @@ def _run_norms(campaign, paths, stream, rows, n_threads):
         raise CampaignError(f"line {campaign.values['n'][1]}: key 'n' must list sizes of "
                             f"at least 1, got {n_grid[0]}")
     trials = _c_num(campaign, "trials", int, low=1)
-    table = norm_concentration_mc(law, n_grid, trials, stream,
-                                  c_op=_c_num(campaign, "c_op", default=3.0),
-                                  c_hs=_c_num(campaign, "c_hs", default=1.0))
-    for entry in table:
-        n = int(entry["n"])
-        rows.append(_row(f"{campaign.experiment_id}.op", n, None, None,
-                         float(entry["op_exceed"]), float(entry["op_stderr"]),
+    c_op = _c_num(campaign, "c_op", default=3.0)
+    c_hs = _c_num(campaign, "c_hs", default=1.0)
+    _c_spans(campaign, ("c_op", c_op > 0.0, "(0, inf)"), ("c_hs", c_hs > 0.0, "(0, inf)"))
+    ops, hss = [], []
+    # each size draws from its own master seed, so no two sizes share a stream
+    for n, seed in zip(n_grid, stream.integers(2 ** 64, size=len(n_grid), dtype=np.uint64)):
+        profile = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
+        config = ExperimentConfig(profile, n, 0, trials=trials, master_seed=int(seed))
+        op, op_se, hs, hs_se = norm_concentration_mc(config, c_op, c_hs)
+        rows.append(_row(f"{campaign.experiment_id}.op", n, None, None, op, op_se,
                          trials, campaign.seed))
-        rows.append(_row(f"{campaign.experiment_id}.hs", n, None, None,
-                         float(entry["hs_exceed"]), float(entry["hs_stderr"]),
+        rows.append(_row(f"{campaign.experiment_id}.hs", n, None, None, hs, hs_se,
                          trials, campaign.seed))
-    _write_tsv(paths[0], table["n"], table["op_exceed"])
-    _write_tsv(paths[1], table["n"], table["hs_exceed"])
+        ops.append(op)
+        hss.append(hs)
+    _write_tsv(paths[0], n_grid, ops)
+    _write_tsv(paths[1], n_grid, hss)
 
 
 _RUNNERS = {
@@ -626,7 +637,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="campaign file path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the campaign seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for trials")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for trials (read by rank-tail and singular-tail)")
     rep = sub.add_parser("report", help="summarize an output directory and name every "
                                         "file its manifest's campaign does not write")
     rep.add_argument("--out", default=".", help="output directory to summarize")

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arithmetic import RLCDEstimate, RLCDParams, matrix_lattice_distance, rlcd_estimate
-from .ensembles import DistributionLaw, EntryProfile, sample_matrix
+from .ensembles import EntryProfile, sample_matrix
 from .errors import ResourceLimitError
 from .linalg import _one_blas_thread, rank_cutoff
 from .rounding import annulus_check
@@ -79,14 +79,6 @@ TAIL_DTYPE = np.dtype([
     ("bound", np.float64),
 ])
 
-NORM_DTYPE = np.dtype([
-    ("n", np.int64),
-    ("op_exceed", np.float64),
-    ("op_stderr", np.float64),
-    ("hs_exceed", np.float64),
-    ("hs_stderr", np.float64),
-])
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -94,7 +86,8 @@ class ExperimentConfig:
 
     ``k`` is the largest k the trial table answers: it keeps the k smallest
     singular values of each trial (k = 0 keeps one and is allowed for rank
-    tails only, where it is the always-true event).
+    tails, where it is the always-true event, and for the norm check, which
+    reads no k).
     """
 
     profile: EntryProfile
@@ -395,34 +388,26 @@ def tensorization_check(n: int, t: float) -> tuple[float, float]:
     return float(volume / math.factorial(n)), (math.e * t) ** n
 
 
-def norm_concentration_mc(law: DistributionLaw, n_grid, trials: int,
-                          stream: np.random.Generator, c_op: float = 3.0,
-                          c_hs: float = 1.0) -> np.ndarray:
-    """Exceedance frequencies of operator and Hilbert-Schmidt norm thresholds.
+def norm_concentration_mc(config: ExperimentConfig, c_op: float = 3.0,
+                          c_hs: float = 1.0) -> tuple[float, float, float, float]:
+    """P(op norm >= c_op sqrt(n)) and P(HS norm >= 2 c_hs n) over config.trials matrices.
 
-    For each n in the grid, samples ``trials`` homogeneous n x n matrices and
-    records the empirical P(op norm >= c_op sqrt(n)) and P(HS norm >= 2 c_hs n).
-    The operator-norm statement assumes bounded entries, so unbounded laws
-    are refused.
+    Returns (op, op stderr, hs, hs stderr).  One reduction over the trial blocks: each
+    block's batched SVD gives its operator norms and its entries its Hilbert-Schmidt
+    norms.  The operator-norm statement assumes bounded entries, so a profile with an
+    unbounded law is refused.
     """
-    if math.isinf(law.support_bound()):
-        raise ValueError("the operator-norm check needs a bounded entry law")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    n_grid = list(n_grid)
-    rows = np.empty(len(n_grid), NORM_DTYPE)
-    for i, n in enumerate(n_grid):
-        profile = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
-        mats = sample_matrix(profile, stream, trials)
-        with _one_blas_thread():
-            svals = np.linalg.svd(mats, compute_uv=False)
-        op_hits = int(np.sum(svals[:, 0] >= c_op * math.sqrt(n)))
+    if any(math.isinf(law.support_bound()) for law in config.profile.laws):
+        raise ValueError("the operator-norm check needs bounded entry laws")
+    n, hits = config.n, np.zeros(2, np.int64)
+
+    def reduce(start: int, mats: np.ndarray) -> None:
+        op = np.linalg.svd(mats, compute_uv=False)[:, 0]
         hs = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
-        hs_hits = int(np.sum(hs >= 2.0 * c_hs * n))
-        p_op, se_op = _binomial(op_hits, trials)
-        p_hs, se_hs = _binomial(hs_hits, trials)
-        rows[i] = (n, p_op, se_op, p_hs, se_hs)
-    return rows
+        hits[:] += (np.sum(op >= c_op * math.sqrt(n)), np.sum(hs >= 2.0 * c_hs * n))
+
+    _map_blocks(config, reduce, 1)
+    return (*_binomial(int(hits[0]), config.trials), *_binomial(int(hits[1]), config.trials))
 
 
 def compressible_event_check(b_matrix: np.ndarray, x_tuple: np.ndarray, tau: float) -> bool:

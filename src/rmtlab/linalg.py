@@ -12,7 +12,6 @@ import csv
 import ctypes
 import functools
 import glob
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ __all__ = [
     "singular_spectrum",
     "rank_cutoff",
     "numerical_rank",
-    "norms",
     "complement_projector",
     "minmax_kth_smallest",
     "write_matrix",
@@ -90,12 +88,6 @@ def numerical_rank(spectrum: SingularSpectrum) -> int:
     """Number of singular values strictly above :func:`rank_cutoff`."""
     cutoff = rank_cutoff(max(spectrum.shape), spectrum.largest if spectrum.values else 0.0)
     return int(sum(1 for v in spectrum.values if v > cutoff))
-
-
-def norms(matrix: np.ndarray) -> tuple[float, float]:
-    """(operator norm, Hilbert-Schmidt norm)."""
-    spec = singular_spectrum(matrix)
-    return spec.largest, math.sqrt(sum(v * v for v in spec.values))
 
 
 def complement_projector(vectors: np.ndarray) -> np.ndarray:

@@ -456,6 +456,20 @@ def test_norms_campaign(tmp_path):
     assert os.path.exists(os.path.join(out, "norms.hsnorm.tsv"))
 
 
+def test_norms_sizes_get_distinct_master_seeds(tmp_path, monkeypatch):
+    norm_check, configs = cli.norm_concentration_mc, []
+
+    def recording_check(config, c_op, c_hs):
+        configs.append(config)
+        return norm_check(config, c_op, c_hs)
+
+    monkeypatch.setattr(cli, "norm_concentration_mc", recording_check)
+    cfg = parse_campaign("kind = norms\nseed = 7\nprofile = uniform\nn = 4,8,8,16\ntrials = 20\n")
+    assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 0
+    assert [c.n for c in configs] == [4, 8, 8, 16]
+    assert len({c.master_seed for c in configs}) == 4
+
+
 @pytest.mark.parametrize("text, message", [
     ("kind = norms\nseed = 7\nprofile = rademacher\nn = 3\ntrials = 0\n",
      "line 5: key 'trials' must be at least 1, got '0'"),
@@ -505,6 +519,8 @@ def test_counts_below_one_fail_with_their_line(tmp_path, capsys, text, message):
     ("epsilon = 0,nan\n", "line 9: key 'epsilon' must lie in [0, inf), got '0,nan'"),
     ("gamma = 0.7\n", "line 9: key 'gamma' must lie in (0, 1/2), got '0.7'"),
     ("gamma = 0\n", "line 9: key 'gamma' must lie in (0, 1/2), got '0'"),
+    ("comparison_c = nan\n", "line 9: key 'comparison_c' must lie in (0, inf), got 'nan'"),
+    ("comparison_c = -1\n", "line 9: key 'comparison_c' must lie in (0, inf), got '-1'"),
 ])
 def test_singular_tail_errors_name_their_line(tmp_path, capsys, extra, message):
     text = ("kind = singular-tail\nseed = 1\nn = 4\nk = 2\nepsilon = 0.1\ntrials = 5\n"
@@ -518,6 +534,7 @@ def test_singular_tail_errors_name_their_line(tmp_path, capsys, extra, message):
 ROUND_CFG = "kind = round\nseed = 1\nn = 4\ndelta = 0.1\nrho = 0.3\nprofile = rademacher\n"
 RI_CFG = "kind = ri-select\nseed = 1\nrows = 3\ncols = 5\nprofile = rademacher\n"
 TENSORIZE_CFG = "kind = tensorize\nseed = 1\n"
+NORMS_CFG = "kind = norms\nseed = 1\nprofile = rademacher\nn = 3\ntrials = 5\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -539,10 +556,17 @@ TENSORIZE_CFG = "kind = tensorize\nseed = 1\n"
     (TENSORIZE_CFG + "n = 25\nt = 0.5\n", "line 3: key 'n' must lie in [1, 20], got '25'"),
     (TENSORIZE_CFG + "n = 3\nt = 0.5,1.5\n", "line 4: key 't' must lie in (0, 1], got '0.5,1.5'"),
     (TENSORIZE_CFG + "n = 3\nt = nan\n", "line 4: key 't' must lie in (0, 1], got 'nan'"),
+    (NORMS_CFG + "c_op = -1\n", "line 6: key 'c_op' must lie in (0, inf), got '-1'"),
+    (NORMS_CFG + "c_hs = nan\n", "line 6: key 'c_hs' must lie in (0, inf), got 'nan'"),
+    ("kind = rank-tail\nseed = 1\nn = 7\nk = 1\nmethod = exact\n",
+     "line 3: rank histogram of 7 x 7 sign matrices is infeasible"),
+    (RI_CFG + "l = 1\nmode = fancy\n",
+     "line 7: mode must be 'exhaustive' or 'greedy', got 'fancy'"),
 ], ids=["rlcd-mc-trials", "rlcd-alpha", "rlcd-L", "rlcd-radius-cap", "rlcd-radius-cap-inf",
         "rlcd-resolution",
         "round-delta", "round-rho", "round-tau", "round-r", "round-c-op", "ri-select-l-big",
-        "ri-select-l-zero", "ri-select-tall", "tensorize-n", "tensorize-t", "tensorize-t-nan"])
+        "ri-select-l-zero", "ri-select-tall", "tensorize-n", "tensorize-t", "tensorize-t-nan",
+        "norms-c-op", "norms-c-hs-nan", "rank-tail-exact-n-7", "ri-select-mode"])
 def test_parameter_ranges_name_their_line(tmp_path, capsys, text, message):
     out = str(tmp_path / "out")
     assert run_campaign(parse_campaign(text), out_dir=out) == 2

@@ -259,7 +259,8 @@ def test_norm_check_svd_runs_on_one_blas_thread(blas_at_two, monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    norm_concentration_mc(rademacher(), [3, 5], 40, np.random.default_rng(0))
+    for n in (3, 5):
+        norm_concentration_mc(_config(n, 0, trials=40))
     assert seen == [1, 1]
     assert _blas_threads() == 2
 
@@ -631,50 +632,58 @@ def test_tensorization_validation():
 
 
 def test_norm_check_refuses_zero_trials():
-    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
-        norm_concentration_mc(rademacher(), [3], 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        norm_concentration_mc(_config(3, 0, trials=0))
 
 
 def test_norm_concentration_rejects_unbounded():
-    with pytest.raises(ValueError):
-        norm_concentration_mc(gaussian(), [4], 10, np.random.default_rng(0))
+    for rules in ([("*", "*", gaussian())], [("*", "*", rademacher()), (2, 1, gaussian())]):
+        config = ExperimentConfig(profile_from_rules(rules, 4, 4, 2.0), 4, 0, trials=10)
+        with pytest.raises(ValueError, match="needs bounded entry laws"):
+            norm_concentration_mc(config)
 
 
-def test_norm_concentration_single_entry(rng):
-    rows = norm_concentration_mc(rademacher(), [1], 200, rng)
-    assert rows[0]["op_exceed"] == 0.0  # |entry| = 1 < 3
-    assert rows[0]["hs_exceed"] == 0.0  # 1 < 2
+def test_norm_concentration_single_entry():
+    op, op_se, hs, hs_se = norm_concentration_mc(_config(1, 0, trials=200, master_seed=3))
+    assert (op, op_se) == (0.0, 0.0)  # |entry| = 1 < 3
+    assert (hs, hs_se) == (0.0, 0.0)  # 1 < 2
 
 
-def _norm_concentration_loop(law, n_grid, trials, stream, c_op=3.0, c_hs=1.0):
-    """Reference: one sample_matrix call per trial."""
-    rows = []
-    for n in n_grid:
-        prof = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
-        mats = np.stack([sample_matrix(prof, stream) for _ in range(trials)])
-        svals = np.linalg.svd(mats, compute_uv=False)
-        op = np.mean(svals[:, 0] >= c_op * math.sqrt(n))
-        hs = np.mean(np.sqrt(np.sum(mats * mats, axis=(1, 2))) >= 2.0 * c_hs * n)
-        rows.append((op, hs))
-    return rows
+def _norm_concentration_loop(config, c_op=3.0, c_hs=1.0):
+    """Reference: one trial_matrix replay per trial."""
+    mats = np.stack([trial_matrix(config, i) for i in range(config.trials)])
+    op = np.linalg.svd(mats, compute_uv=False)[:, 0] >= c_op * math.sqrt(config.n)
+    hs = np.sqrt(np.sum(mats * mats, axis=(1, 2))) >= 2.0 * c_hs * config.n
+    return (*experiments._binomial(int(op.sum()), config.trials),
+            *experiments._binomial(int(hs.sum()), config.trials))
 
 
 @pytest.mark.parametrize("law", [rademacher(), uniform_scaled(), sparse_bernoulli(0.3)],
                          ids=lambda law: law.kind)
 def test_norm_concentration_matches_per_trial_loop(law):
-    stream, ref_stream = np.random.default_rng(8), np.random.default_rng(8)
-    rows = norm_concentration_mc(law, [3, 5], 40, stream, c_op=1.5, c_hs=0.5)
-    want = _norm_concentration_loop(law, [3, 5], 40, ref_stream, 1.5, 0.5)
-    assert [(r["op_exceed"], r["hs_exceed"]) for r in rows] == want
-    assert stream.bit_generator.state == ref_stream.bit_generator.state
+    for n in (3, 5):
+        config = _config(n, 0, law, trials=TRIAL_BLOCK + 40, master_seed=8)
+        got = norm_concentration_mc(config, c_op=1.5, c_hs=0.5)
+        assert got == _norm_concentration_loop(config, 1.5, 0.5)
 
 
-def test_norm_concentration_decays(rng):
-    rows = norm_concentration_mc(rademacher(), [10, 20, 40], 300, rng)
-    ops = list(rows["op_exceed"])
+def test_norm_check_draws_one_block_at_a_time(monkeypatch):
+    sample, counts = experiments.sample_matrix, []
+
+    def recording_sample(profile, stream, count=None):
+        counts.append(count)
+        return sample(profile, stream, count)
+
+    monkeypatch.setattr(experiments, "sample_matrix", recording_sample)
+    norm_concentration_mc(_config(4, 0, trials=3 * TRIAL_BLOCK + 1))
+    assert counts == [TRIAL_BLOCK] * 3 + [1]
+
+
+def test_norm_concentration_decays():
+    ops, hss = zip(*(norm_concentration_mc(_config(n, 0, trials=300, master_seed=n))[::2]
+                     for n in (10, 20, 40)))
     assert all(a >= b for a, b in zip(ops, ops[1:]))
-    assert np.all(rows["hs_exceed"] < 0.05)
-    assert list(rows["n"]) == [10, 20, 40]
+    assert all(hs < 0.05 for hs in hss)
 
 
 # --- structured events ---
@@ -871,11 +880,3 @@ def test_scaling_fit_needs_two_points():
     with pytest.raises(ValueError):
         with pytest.warns(UserWarning):
             scaling_fit([(2, 1, 0.5), (3, 1, 0.0)])
-
-
-def test_norm_concentration_accepts_a_generator_grid():
-    rows = norm_concentration_mc(rademacher(), (n for n in [3, 4]), 50,
-                                 np.random.default_rng(2))
-    want = norm_concentration_mc(rademacher(), [3, 4], 50, np.random.default_rng(2))
-    assert rows["n"].tolist() == [3, 4]
-    assert rows.tolist() == want.tolist()

@@ -9,7 +9,6 @@ from rmtlab.linalg import (
     SingularSpectrum,
     complement_projector,
     minmax_kth_smallest,
-    norms,
     numerical_rank,
     rank_cutoff,
     read_matrix,
@@ -111,30 +110,6 @@ def test_numerical_rank_matches_numpy_matrix_rank(seed):
     if seed % 3 == 0:
         m[:, 0] = m[:, 1] - m[:, 2]
     assert numerical_rank(singular_spectrum(m)) == np.linalg.matrix_rank(m)
-
-
-# --- norms ---
-
-
-def test_norms_identity():
-    op, hs = norms(np.eye(3))
-    assert op == pytest.approx(1.0)
-    assert hs == pytest.approx(math.sqrt(3.0))
-
-
-def test_norms_all_ones():
-    op, hs = norms(np.ones((4, 4)))
-    assert op == pytest.approx(4.0)
-    assert hs == pytest.approx(4.0)
-
-
-def test_norms_consistency(rng):
-    m = rng.standard_normal((10, 6))
-    op, hs = norms(m)
-    spec = singular_spectrum(m)
-    assert op == pytest.approx(spec.largest, rel=1e-12)
-    assert hs * hs == pytest.approx(np.sum(m * m), rel=1e-12)
-    assert op <= hs + 1e-12
 
 
 # --- orthogonal complement projector ---

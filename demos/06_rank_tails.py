@@ -18,9 +18,9 @@ from rmtlab.experiments import (ExperimentConfig, rank_tail_exact_rademacher,
                                 scaling_fit)
 
 
-def config(n, k, trials, seed):
+def config(n, trials, seed):
     prof = EntryProfile.homogeneous(n, n, rademacher(), 2.0)
-    return ExperimentConfig(prof, n, k, trials=trials, master_seed=seed)
+    return ExperimentConfig(prof, trials, seed)
 
 
 print("exact rank-drop probabilities (from the rank histogram):")
@@ -30,13 +30,13 @@ for n, k in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)):
 
 # Monte Carlo reproduces the exact values within binomial noise
 for n, k in ((2, 1), (3, 1)):
-    est, se = rank_tail_mc(config(n, k, 50_000, seed=1))
+    est, se = rank_tail_mc(config(n, 50_000, seed=1), k)
     exact = float(rank_tail_exact_rademacher(n, k))
     print(f"mc n={n}, k={k}: {est:.4f} +/- {se:.4f} (exact {exact:.4f})")
 
 # one shared trial table serves every k at once, and the resulting tail
 # curve is monotone by construction, not just in expectation
-table = run_trials(config(6, 1, 20_000, seed=2))
+table = run_trials(config(6, 20_000, seed=2), 1)
 print("\nshared-table tail curve at n=6:")
 for k in range(0, 4):
     p, se = rank_tail_from_table(table, 6, k)
@@ -46,7 +46,7 @@ for k in range(0, 4):
 # claim about the true constant)
 points = []
 for n in (6, 8, 10):
-    est, _ = rank_tail_mc(config(n, 1, 100_000, seed=3))
+    est, _ = rank_tail_mc(config(n, 100_000, seed=3), 1)
     points.append((n, 1, est))
 c_hat, residuals = scaling_fit(points)
 print(f"\nfitted decay slope: {c_hat:.4f} (residuals {np.round(residuals, 3)})")

@@ -7,6 +7,7 @@
 
 import os
 import tempfile
+from pathlib import Path
 
 from rmtlab.cli import main
 
@@ -42,9 +43,6 @@ with tempfile.TemporaryDirectory() as work:
     # every output exactly
     main(["rank-tail", "--config", os.path.join(first, "manifest.txt"),
           "--out", second])
-    same = all(
-        open(os.path.join(first, n), "rb").read()
-        == open(os.path.join(second, n), "rb").read()
-        for n in sorted(os.listdir(first))
-    )
+    same = all(Path(first, n).read_bytes() == Path(second, n).read_bytes()
+               for n in sorted(os.listdir(first)))
     print(f"\nmanifest rerun byte-identical: {same}")

@@ -313,14 +313,14 @@ def esseen_bound_eval(m: int, L: float, alpha: float, det_root: float,
     return (C * L / (alpha * math.sqrt(m))) ** m / det_root * (t + shift) ** m
 
 
-def count_lattice_points(n: int, radius: float, c: float = 3.0) -> tuple[int, float]:
+def count_lattice_points(n: int, radius: float) -> tuple[int, float]:
     """Exact count of integer points in the ball of the given radius, with its bound.
 
     ``shell[s]`` counts the coordinates v in [-ceil(R), ceil(R)] with
     v^2 = s; its n-fold integer convolution counts the points of the box
     [-ceil(R), ceil(R)]^n with squared norm s, and the count sums those for
     s <= floor(R^2), which an integer s meets exactly when s <= R^2.  The
-    companion value is the bound (2 + c R / sqrt(n))^n.  The function covers
+    companion value is the bound (2 + 3 R / sqrt(n))^n.  The function covers
     n <= 4 and R <= 20 and raises :class:`ResourceLimitError` outside them.
     """
     if not 1 <= n <= 4 or radius > 20.0:
@@ -334,5 +334,5 @@ def count_lattice_points(n: int, radius: float, c: float = 3.0) -> tuple[int, fl
     for _ in range(n):
         by_norm = np.convolve(by_norm, shell)
     count = int(by_norm[:math.floor(radius * radius) + 1].sum())
-    bound = (2.0 + c * radius / math.sqrt(n)) ** n
+    bound = (2.0 + 3.0 * radius / math.sqrt(n)) ** n
     return count, bound

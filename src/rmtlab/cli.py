@@ -343,7 +343,7 @@ def _run_rank_tail(campaign, paths, stream, rows, n_threads):
                             f"exact, got {method!r}")
     trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
-    config = ExperimentConfig(profile, n, max(ks), trials=trials, master_seed=campaign.seed)
+    config = ExperimentConfig(profile, trials, campaign.seed)
     estimates = []
     for k, hits in zip(ks, rank_tail_counts(config, ks, n_threads)):
         est, se = _binomial(int(hits), trials)
@@ -365,9 +365,8 @@ def _run_singular_tail(campaign, paths, stream, rows, n_threads):
              ("comparison_c", comparison_c > 0.0, "(0, inf)"))
     trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
-    config = ExperimentConfig(profile, n, k, epsilon_grid=tuple(eps), gamma=gamma,
-                              trials=trials, master_seed=campaign.seed)
-    tail = singular_tail_mc(config, comparison_c=comparison_c, n_threads=n_threads)
+    config = ExperimentConfig(profile, trials, campaign.seed)
+    tail = singular_tail_mc(config, k, eps, comparison_c, gamma, n_threads)
     for entry in tail:
         rows.append(_row(campaign.experiment_id, n, k, float(entry["epsilon"]),
                          float(entry["estimate"]), float(entry["stderr"]),
@@ -495,7 +494,10 @@ def _run_ri_select(campaign, paths, stream, rows, n_threads):
     if mode not in ("exhaustive", "greedy"):
         raise CampaignError(f"line {campaign.values['mode'][1]}: mode must be 'exhaustive' or "
                             f"'greedy', got {mode!r}")
-    cert = ri_select(mat, l, mode)
+    try:
+        cert = ri_select(mat, l, mode)
+    except ResourceLimitError as exc:  # an exhaustive search over too many subsets
+        raise CampaignError(f"line {campaign.values['l'][1]}: {exc}")
     with _create(paths[0]) as fh:
         fh.write("indices,s_l,rhs,ratio\n")
         fh.write(cert.csv_row() + "\n")
@@ -534,8 +536,11 @@ def _run_norms(campaign, paths, stream, rows, n_threads):
     # each size draws from its own master seed, so no two sizes share a stream
     for n, seed in zip(n_grid, stream.integers(2 ** 64, size=len(n_grid), dtype=np.uint64)):
         profile = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
-        config = ExperimentConfig(profile, n, 0, trials=trials, master_seed=int(seed))
-        op, op_se, hs, hs_se = norm_concentration_mc(config, c_op, c_hs)
+        try:
+            op, op_se, hs, hs_se = norm_concentration_mc(
+                ExperimentConfig(profile, trials, int(seed)), c_op, c_hs)
+        except ValueError as exc:  # the law is unbounded
+            raise CampaignError(f"line {campaign.values['profile'][1]}: {exc}")
         rows.append(_row(f"{campaign.experiment_id}.op", n, None, None, op, op_se,
                          trials, campaign.seed))
         rows.append(_row(f"{campaign.experiment_id}.hs", n, None, None, hs, hs_se,

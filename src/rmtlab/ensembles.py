@@ -226,7 +226,7 @@ def sparse_bernoulli(p: float) -> DistributionLaw:
                            weights=(p / 2.0, 1.0 - p, p / 2.0), param=p)
 
 
-def discrete(atoms, weights, declared_psi2: float | None = None) -> DistributionLaw:
+def discrete(atoms, weights) -> DistributionLaw:
     """Finitely supported law, normalized to mean 0 and variance 1.
 
     ``atoms``/``weights`` describe the raw law; the constructor recenters and
@@ -248,12 +248,7 @@ def discrete(atoms, weights, declared_psi2: float | None = None) -> Distribution
     if var <= 0.0:
         raise ValueError("discrete law is degenerate (zero variance)")
     norm = tuple((a - mean) / math.sqrt(var))
-    psi2 = _finite_psi2(norm, w)
-    if declared_psi2 is None:
-        declared_psi2 = psi2
-    elif declared_psi2 < psi2 - 1e-9:
-        raise ValueError(f"declared_psi2 {declared_psi2} is below the law's psi2 {psi2:.6g}")
-    return DistributionLaw("discrete", declared_psi2, atoms=norm, weights=tuple(w))
+    return DistributionLaw("discrete", _finite_psi2(norm, w), atoms=norm, weights=tuple(w))
 
 
 _NAMED_LAWS = {
@@ -503,18 +498,17 @@ def paley_zygmund_floor(k_psi2: float) -> float:
     return 1.0 / (6.0 + 4.0 * k_psi2 ** 4)
 
 
-def psi2_estimate(law, n_samples: int, stream: np.random.Generator | None = None) -> float:
+def psi2_estimate(law, n_samples: int, stream: np.random.Generator) -> float:
     """Empirical psi2 norm: smallest t with mean(exp((X/t)^2)) <= 2 over one sample.
 
-    Bisects on t against a fixed sample of ``n_samples`` draws, to a relative
-    width of 1e-3.  Raises :class:`EstimationError` when even t = 100 fails
-    the criterion (the law is too heavy-tailed for the sample to certify
-    subgaussianity).
+    Bisects on t against a fixed sample of ``n_samples`` draws from ``stream``,
+    to a relative width of 1e-3.  Raises :class:`EstimationError` when even
+    t = 100 fails the criterion (the law is too heavy-tailed for the sample to
+    certify subgaussianity).
     """
     if n_samples < 1000:
         raise ValueError("psi2_estimate needs n_samples >= 1000")
-    rng = np.random.default_rng(0) if stream is None else stream
-    sq = np.asarray(law.sample(rng, n_samples), dtype=float) ** 2
+    sq = np.asarray(law.sample(stream, n_samples), dtype=float) ** 2
     peak = float(np.max(sq))
     if peak == 0.0:
         return 0.0

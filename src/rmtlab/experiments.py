@@ -1,15 +1,17 @@
 """Monte Carlo campaigns and exact oracles for rank and singular-value tails.
 
-The heart of the module is a trial table: one row per sampled matrix with s_1,
-its ``config.k`` smallest singular values and its rank at
-:func:`~rmtlab.linalg.rank_cutoff`, n eps s_1, so one table answers every
-k <= ``config.k``.  Block b of ``TRIAL_BLOCK`` trials draws all of its matrices
-in one vectorized call from a stream spawned off the master seed with spawn key
-(b,), so a table depends only on the config, never on the thread count, and
-:func:`trial_matrix` replays any single trial by regenerating its block.
-All tail estimates are computed from trial tables, so different thresholds
-(k values, epsilon values) share the same samples and the nesting of the
-underlying events holds exactly in the estimates, not just in expectation.
+An :class:`ExperimentConfig` names the sample (profile, trials, master seed) and
+nothing else; each estimator takes its own question (k, the epsilon grid) as
+arguments.  The heart of the module is a trial table: one row per sampled
+matrix with s_1, its k smallest singular values and its rank at
+:func:`~rmtlab.linalg.rank_cutoff`, n eps s_1, so one ``run_trials(config, k)``
+table answers every k' <= k.  Block b of ``TRIAL_BLOCK`` trials draws all of its
+matrices in one vectorized call from a stream spawned off the master seed with
+spawn key (b,), so the matrices depend only on the config, never on k or the
+thread count, and :func:`trial_matrix` replays any single trial by regenerating
+its block.  All tail estimates are computed from trial tables, so different
+thresholds (k values, epsilon values) share the same samples and the nesting of
+the underlying events holds exactly in the estimates, not just in expectation.
 
 Rank tails of rademacher and sparse-bernoulli profiles skip most of the SVD
 work: :func:`rank_tail_counts` classifies each block by one batched
@@ -82,40 +84,28 @@ TAIL_DTYPE = np.dtype([
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo campaign: ensemble, thresholds, budget, seed.
+    """The sample of one Monte Carlo campaign: a square profile, a trial count, a seed.
 
-    ``k`` is the largest k the trial table answers: it keeps the k smallest
-    singular values of each trial (k = 0 keeps one and is allowed for rank
-    tails, where it is the always-true event, and for the norm check, which
-    reads no k).
+    Two equal configs draw the same matrices.  ``n`` is the profile's size; k and
+    the epsilon grid are arguments of the estimators that read them.
     """
 
     profile: EntryProfile
-    n: int
-    k: int
-    epsilon_grid: tuple[float, ...] = ()
-    gamma: float = 0.25
     trials: int = 1
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.profile.n_rows != self.n or self.profile.n_cols != self.n:
+        if self.profile.n_rows != self.profile.n_cols:
             raise ValueError(f"profile shape {self.profile.n_rows}x{self.profile.n_cols} "
-                             f"does not match n = {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"k must lie in [0, {self.n}], got {self.k}")
-        eps = tuple(float(e) for e in self.epsilon_grid)
-        if not all(e >= 0.0 for e in eps):
-            raise ValueError("epsilon grid entries must be non-negative")
-        if any(eps[i] > eps[i + 1] for i in range(len(eps) - 1)):
-            raise ValueError("epsilon grid must be sorted ascending")
-        object.__setattr__(self, "epsilon_grid", eps)
-        if not 0.0 < self.gamma < 0.5:
-            raise ValueError(f"gamma must lie in (0, 1/2), got {self.gamma}")
+                             "is not square")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed must fit in 64 bits")
+
+    @property
+    def n(self) -> int:
+        return self.profile.n_rows
 
 
 def _block_matrices(config: ExperimentConfig, block: int) -> np.ndarray:
@@ -154,23 +144,25 @@ def _map_blocks(config: ExperimentConfig, reduce, n_threads: int) -> None:
                 do_block(block)
 
 
-def run_trials(config: ExperimentConfig, n_threads: int = 1) -> np.ndarray:
+def run_trials(config: ExperimentConfig, k: int, n_threads: int = 1) -> np.ndarray:
     """Sample config.trials matrices and record their spectrum summaries.
 
     Fields: ``s_largest``; ``s_bottom``, whose column j - 1 is the j-th smallest
-    singular value for j <= max(config.k, 1); ``rank_at_tol``.  Each block is
+    singular value for j <= k, with k in [1, n]; ``rank_at_tol``.  Each block is
     reduced with one batched SVD.  Threads map over whole blocks, so the table
     is identical for any thread count; :func:`trial_matrix` replays one trial.
     """
-    n, width = config.n, max(config.k, 1)
-    out = np.empty(config.trials, [("s_largest", np.float64), ("s_bottom", np.float64, (width,)),
+    n = config.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    out = np.empty(config.trials, [("s_largest", np.float64), ("s_bottom", np.float64, (k,)),
                                    ("rank_at_tol", np.int64)])
 
     def reduce(start: int, mats: np.ndarray) -> None:
         svals = np.linalg.svd(mats, compute_uv=False)
         rows = out[start:start + svals.shape[0]]
         rows["s_largest"] = svals[:, 0]
-        rows["s_bottom"] = svals[:, ::-1][:, :width]
+        rows["s_bottom"] = svals[:, ::-1][:, :k]
         rows["rank_at_tol"] = np.sum(svals > rank_cutoff(n, svals[:, :1]), axis=1)
 
     _map_blocks(config, reduce, n_threads)
@@ -235,7 +227,7 @@ def _det_route_scale(config: ExperimentConfig) -> np.ndarray | None:
 def rank_tail_counts(config: ExperimentConfig, ks, n_threads: int = 1) -> np.ndarray:
     """For each k in ``ks``, the number of trials with rank at the cutoff <= n - k.
 
-    The counts are those of ``run_trials(config, n_threads)["rank_at_tol"]``, from the
+    The counts are those of ``run_trials(config, 1, n_threads)["rank_at_tol"]``, from the
     same blocks and streams.  The determinant route skips the SVD where it can.  It
     runs when the profile has an :attr:`~rmtlab.ensembles.EntryProfile.integer_scale`
     d, n <= ``DET_RANK_MAX_N`` and kappa = max(d)/min(d) satisfies
@@ -277,7 +269,7 @@ def rank_tail_counts(config: ExperimentConfig, ks, n_threads: int = 1) -> np.nda
         raise ValueError(f"every k must lie in [0, {n}], got {ks}")
     scale = _det_route_scale(config)
     if scale is None:
-        ranks = run_trials(config, n_threads)["rank_at_tol"]
+        ranks = run_trials(config, 1, n_threads)["rank_at_tol"]
     else:
         ranks = np.empty(config.trials, np.int64)
         svd_singular = any(k > 1 for k in ks)
@@ -289,43 +281,48 @@ def rank_tail_counts(config: ExperimentConfig, ks, n_threads: int = 1) -> np.nda
     return np.array([int(np.sum(ranks <= n - k)) for k in ks], dtype=np.int64)
 
 
-def rank_tail_mc(config: ExperimentConfig, n_threads: int = 1) -> tuple[float, float]:
+def rank_tail_mc(config: ExperimentConfig, k: int, n_threads: int = 1) -> tuple[float, float]:
     """Monte Carlo estimate of P(rank <= n - k) with binomial standard error.
 
-    The hits are ``rank_tail_counts(config, [config.k])``: for a rademacher or
+    The hits are ``rank_tail_counts(config, [k])``: for a rademacher or
     sparse-bernoulli profile with n <= ``DET_RANK_MAX_N``, trials are
     classified by one batched determinant per block, and only singular ones see an SVD
     (none when k <= 1).  The estimate equals the one :func:`run_trials` gives.
     """
-    return _binomial(int(rank_tail_counts(config, [config.k], n_threads)[0]), config.trials)
+    return _binomial(int(rank_tail_counts(config, [k], n_threads)[0]), config.trials)
 
 
-def singular_tail_mc(config: ExperimentConfig, comparison_c: float = 1.0,
-                     n_threads: int = 1) -> np.ndarray:
-    """Tail estimates over the epsilon grid, with the comparison curve attached.
+def singular_tail_mc(config: ExperimentConfig, k: int, epsilon_grid, comparison_c: float = 1.0,
+                     gamma: float = 0.25, n_threads: int = 1) -> np.ndarray:
+    """Tail estimates of s_{n-k+1} over the epsilon grid, with the comparison curve attached.
 
-    Returns a structured array over config.epsilon_grid with fields
-    (epsilon, estimate, stderr, bound) where bound is the reference shape
-    (C epsilon / k)^(gamma k^2) at caller-supplied C = ``comparison_c``.
-    That shape is the bound of Jain, Sah and Sawhney, "Rank deficiency of
-    random matrices"; with C chosen by the caller the curve is a shape to
-    compare against, not a certificate.  All epsilons share one trial
-    table, so estimates are non-decreasing exactly.  A k below log(n) leaves
-    the regime that shape assumes and triggers a warning, not an error.
+    ``epsilon_grid`` is a non-empty ascending sequence of non-negative numbers.
+    Returns a structured array over it with fields (epsilon, estimate, stderr,
+    bound) where bound is the reference shape (C epsilon / k)^(gamma k^2) at
+    caller-supplied C = ``comparison_c`` and gamma in (0, 1/2).  That shape is the
+    bound of Jain, Sah and Sawhney, "Rank deficiency of random matrices"; with C
+    and gamma chosen by the caller the curve is a shape to compare against, not a
+    certificate.  All epsilons share one trial table, so estimates are
+    non-decreasing exactly.  A k below log(n) leaves the regime that shape assumes
+    and triggers a warning, not an error.
     """
-    if config.k < 1:
-        raise ValueError("singular-value tails need k >= 1")
-    if not config.epsilon_grid:
-        raise ValueError("config.epsilon_grid is empty")
-    if config.k < math.log(config.n):
-        warnings.warn(f"k = {config.k} is below log(n) = {math.log(config.n):.2f}; "
+    eps = [float(e) for e in epsilon_grid]
+    if not eps:
+        raise ValueError("epsilon grid is empty")
+    if not all(e >= 0.0 for e in eps):
+        raise ValueError("epsilon grid entries must be non-negative")
+    if any(a > b for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilon grid must be sorted ascending")
+    if not 0.0 < gamma < 0.5:
+        raise ValueError(f"gamma must lie in (0, 1/2), got {gamma}")
+    table = run_trials(config, k, n_threads)
+    if k < math.log(config.n):
+        warnings.warn(f"k = {k} is below log(n) = {math.log(config.n):.2f}; "
                       "the singular-value tail regime assumes k >= log(n)", stacklevel=2)
-    table = run_trials(config, n_threads)
-    rows = np.empty(len(config.epsilon_grid), TAIL_DTYPE)
-    for i, eps in enumerate(config.epsilon_grid):
-        est, se = singular_tail_from_table(table, config.n, config.k, eps)
-        bound = (comparison_c * eps / config.k) ** (config.gamma * config.k ** 2)
-        rows[i] = (eps, est, se, bound)
+    rows = np.empty(len(eps), TAIL_DTYPE)
+    for i, e in enumerate(eps):
+        est, se = singular_tail_from_table(table, config.n, k, e)
+        rows[i] = (e, est, se, (comparison_c * e / k) ** (gamma * k ** 2))
     return rows
 
 

@@ -50,15 +50,15 @@ def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num}: {description}{suffix}"
 
 
-def _mc_config(n, k, trials, seed):
+def _mc_config(n, trials, seed):
     prof = EntryProfile.homogeneous(n, n, rademacher(), 2.0)
-    return ExperimentConfig(prof, n, k, trials=trials, master_seed=seed)
+    return ExperimentConfig(prof, trials, seed)
 
 
 def test_criterion_01_exact_oracle_n2():
     t0 = time.perf_counter()
     exact_ok = rank_tail_exact_rademacher(2, 1) == Fraction(1, 2)
-    est, se = rank_tail_mc(_mc_config(2, 1, 100_000, seed=101))
+    est, se = rank_tail_mc(_mc_config(2, 100_000, seed=101), 1)
     mc_ok = abs(est - 0.5) <= 3 * se
     elapsed = time.perf_counter() - t0
     _verdict(1, "exact and Monte Carlo rank tails agree at n = 2",
@@ -75,7 +75,7 @@ def test_criterion_02_enumeration_oracle_n3():
     tol = 3 * np.finfo(float).eps * svals[:, 0]
     ranks = np.sum(svals > tol[:, None], axis=1)
     second_route = Fraction(int(np.sum(ranks <= 2)), 512)
-    est, se = rank_tail_mc(_mc_config(3, 1, 100_000, seed=102))
+    est, se = rank_tail_mc(_mc_config(3, 100_000, seed=102), 1)
     elapsed = time.perf_counter() - t0
     ok = exact == Fraction(5, 8) == second_route and abs(est - 0.625) <= 3 * se
     _verdict(2, "512-matrix enumeration and Monte Carlo agree at n = 3",
@@ -215,8 +215,7 @@ def test_criterion_10_restricted_invertibility():
 def test_criterion_11_shared_seed_monotonicity():
     ok = True
     for seed in (1, 2, 3):
-        cfg = _mc_config(5, 5, 4000, seed=seed)
-        table = run_trials(cfg)
+        table = run_trials(_mc_config(5, 4000, seed=seed), 5)
         ranks = [rank_tail_from_table(table, 5, k)[0] for k in range(0, 6)]
         if any(a < b for a, b in zip(ranks, ranks[1:])):
             ok = False
@@ -232,7 +231,7 @@ def test_criterion_12_tail_scaling_slope():
     points = []
     stderrs = {}
     for n in (6, 8, 10):
-        est, stderrs[n] = rank_tail_mc(_mc_config(n, 1, 1_000_000, seed=112), n_threads=2)
+        est, stderrs[n] = rank_tail_mc(_mc_config(n, 1_000_000, seed=112), 1, n_threads=2)
         points.append((n, 1, est))
     c_hat, _ = scaling_fit(points)
     elapsed = time.perf_counter() - t0

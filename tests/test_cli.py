@@ -562,11 +562,16 @@ NORMS_CFG = "kind = norms\nseed = 1\nprofile = rademacher\nn = 3\ntrials = 5\n"
      "line 3: rank histogram of 7 x 7 sign matrices is infeasible"),
     (RI_CFG + "l = 1\nmode = fancy\n",
      "line 7: mode must be 'exhaustive' or 'greedy', got 'fancy'"),
+    (RI_CFG.replace("rows = 3\ncols = 5", "rows = 11\ncols = 40") + "l = 10\n",
+     "line 6: exhaustive search over C(40,10) = 847660528 subsets exceeds the 1000000 budget"),
+    (NORMS_CFG.replace("rademacher", "gaussian"),
+     "line 3: the operator-norm check needs bounded entry laws"),
 ], ids=["rlcd-mc-trials", "rlcd-alpha", "rlcd-L", "rlcd-radius-cap", "rlcd-radius-cap-inf",
         "rlcd-resolution",
         "round-delta", "round-rho", "round-tau", "round-r", "round-c-op", "ri-select-l-big",
         "ri-select-l-zero", "ri-select-tall", "tensorize-n", "tensorize-t", "tensorize-t-nan",
-        "norms-c-op", "norms-c-hs-nan", "rank-tail-exact-n-7", "ri-select-mode"])
+        "norms-c-op", "norms-c-hs-nan", "rank-tail-exact-n-7", "ri-select-mode",
+        "ri-select-budget", "norms-unbounded"])
 def test_parameter_ranges_name_their_line(tmp_path, capsys, text, message):
     out = str(tmp_path / "out")
     assert run_campaign(parse_campaign(text), out_dir=out) == 2
@@ -839,7 +844,7 @@ def test_main_seed_override_lands_in_manifest(tmp_path):
     assert ",99" in over_results.splitlines()[1]
 
     manifest_path = write_config(tmp_path, "m.cfg",
-                                 open(os.path.join(over, "manifest.txt")).read())
+                                 Path(over, "manifest.txt").read_text())
     assert main(["rank-tail", "--config", manifest_path, "--out", rerun]) == 0
     with open(os.path.join(rerun, "results.csv")) as fh:
         assert fh.read() == over_results

@@ -163,11 +163,6 @@ def test_discrete_rejects_degenerate_support():
         discrete([2.0], [1.0])
 
 
-def test_discrete_rejects_understated_psi2():
-    with pytest.raises(ValueError):
-        discrete([-1.0, 1.0], [0.5, 0.5], declared_psi2=0.5)
-
-
 @given(
     atoms=st.lists(
         st.floats(min_value=-50, max_value=50, allow_nan=False),

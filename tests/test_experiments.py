@@ -40,10 +40,10 @@ from rmtlab.linalg import numerical_rank, singular_spectrum
 from rmtlab.rounding import RoundingParams, randomized_round
 
 
-def _config(n, k, law=None, **kwargs):
+def _config(n, law=None, **kwargs):
     """Config on a homogeneous n x n profile, rademacher unless another law is given."""
     prof = EntryProfile.homogeneous(n, n, law or rademacher(), 2.0)
-    return ExperimentConfig(prof, n, k, **kwargs)
+    return ExperimentConfig(prof, **kwargs)
 
 
 def enumerate_sign_matrix_rank_tail(n: int, k: int) -> Fraction:
@@ -62,73 +62,69 @@ def enumerate_sign_matrix_rank_tail(n: int, k: int) -> Fraction:
 
 def test_config_validates_shapes_and_ranges():
     prof = EntryProfile.homogeneous(3, 3, rademacher(), 2.0)
+    assert ExperimentConfig(prof).n == 3
+    with pytest.raises(ValueError, match="profile shape 3x4 is not square"):
+        ExperimentConfig(EntryProfile.homogeneous(3, 4, rademacher(), 2.0))
     with pytest.raises(ValueError):
-        ExperimentConfig(prof, 4, 1)
+        ExperimentConfig(prof, trials=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(prof, 3, 5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(prof, 3, -1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(prof, 3, 3, epsilon_grid=(0.5, 0.1))
-    with pytest.raises(ValueError):
-        ExperimentConfig(prof, 3, 3, epsilon_grid=(-0.5,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(prof, 3, 3, gamma=0.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(prof, 3, 3, trials=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(prof, 3, 3, master_seed=2**64)
+        ExperimentConfig(prof, master_seed=2**64)
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_run_trials_refuses_k_outside_one_to_n(k):
+    with pytest.raises(ValueError, match=rf"k must lie in \[1, 3\], got {k}$"):
+        run_trials(_config(3, trials=5), k)
 
 
 @pytest.mark.parametrize("grid", [(math.nan,), (0.1, math.nan), (math.nan, 0.1)])
-def test_config_refuses_nan_in_epsilon_grid(grid):
-    prof = EntryProfile.homogeneous(3, 3, rademacher(), 2.0)
+def test_singular_tail_refuses_nan_in_epsilon_grid(grid):
     with pytest.raises(ValueError, match="epsilon grid entries must be non-negative"):
-        ExperimentConfig(prof, 3, 3, epsilon_grid=grid)
+        singular_tail_mc(_config(3), 3, grid)
 
 
 def test_singular_tail_warns_below_tail_regime():
-    prof = EntryProfile.homogeneous(10, 10, rademacher(), 2.0)
+    cfg = _config(10, trials=8)
 
     def tail(k):
-        return singular_tail_mc(ExperimentConfig(prof, 10, k, epsilon_grid=(0.5,), trials=8))
+        return singular_tail_mc(cfg, k, (0.5,))
 
     with pytest.warns(UserWarning, match="k = 1 is below log") as record:
         tail(1)
     assert record[0].filename == __file__  # points at the caller
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ExperimentConfig(prof, 10, 1)  # a config alone never warns
+        ExperimentConfig(cfg.profile)  # a config alone never warns
         tail(5)  # above log(10): no warning
-        with pytest.raises(ValueError, match="k >= 1"):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 10\], got 0"):
             tail(0)  # rank-only degenerate case: an error, no warning
 
 
 # --- trial tables ---
 
 
-def _mixed_config(n, k, **kwargs):
+def _mixed_config(n, **kwargs):
     rules = [("*", "*", rademacher()), ("*", 1, gaussian()), (2, "*", sparse_bernoulli(0.5))]
     prof = profile_from_rules(rules, n, n, k_cap=2.5)
-    return ExperimentConfig(prof, n, k, **kwargs)
+    return ExperimentConfig(prof, **kwargs)
 
 
 def test_run_trials_deterministic_across_partitioning():
-    cfg = _config(6, 3, trials=3 * TRIAL_BLOCK + 17, master_seed=5)
-    base = run_trials(cfg)
-    threaded = run_trials(cfg, n_threads=3)
+    cfg = _config(6, trials=3 * TRIAL_BLOCK + 17, master_seed=5)
+    base = run_trials(cfg, 3)
+    threaded = run_trials(cfg, 3, n_threads=3)
     for field in base.dtype.names:
         np.testing.assert_array_equal(base[field], threaded[field])
 
 
 @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 600])
 def test_thread_count_does_not_change_tables_or_counts(trials):
-    gauss = _config(6, 2, law=gaussian(), trials=trials, master_seed=51)  # run_trials route
-    signs = _config(6, 2, trials=trials, master_seed=52)  # determinant route
-    table = run_trials(gauss)
+    gauss = _config(6, law=gaussian(), trials=trials, master_seed=51)  # run_trials route
+    signs = _config(6, trials=trials, master_seed=52)  # determinant route
+    table = run_trials(gauss, 2)
     counts = {tuple(ks): rank_tail_counts(signs, ks).tolist() for ks in ([0, 1], [1, 2])}
     for threads in (2, 3):
-        assert run_trials(gauss, n_threads=threads).tobytes() == table.tobytes()
+        assert run_trials(gauss, 2, n_threads=threads).tobytes() == table.tobytes()
         for ks, want in counts.items():
             assert rank_tail_counts(signs, ks, n_threads=threads).tolist() == want, ks
 
@@ -138,16 +134,16 @@ def test_one_block_or_one_thread_starts_no_pool(monkeypatch, tmp_path):
         raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
-    run_trials(_config(6, 2, law=gaussian(), trials=TRIAL_BLOCK, master_seed=53), n_threads=3)
-    rank_tail_counts(_config(6, 2, trials=TRIAL_BLOCK, master_seed=54), [1, 2], n_threads=3)
+    run_trials(_config(6, law=gaussian(), trials=TRIAL_BLOCK, master_seed=53), 2, n_threads=3)
+    rank_tail_counts(_config(6, trials=TRIAL_BLOCK, master_seed=54), [1, 2], n_threads=3)
     # Four blocks at the default n_threads = 1, through every route and the CLI.
     many = 3 * TRIAL_BLOCK + 1
-    run_trials(_config(6, 2, law=gaussian(), trials=many, master_seed=56))
-    signs = _config(6, 2, trials=many, master_seed=57)
+    run_trials(_config(6, law=gaussian(), trials=many, master_seed=56), 2)
+    signs = _config(6, trials=many, master_seed=57)
     assert experiments._det_route_scale(signs) is not None
     for ks in ([1], [1, 2]):
         rank_tail_counts(signs, ks)
-    gauss = _config(6, 2, law=gaussian(), trials=many, master_seed=58)
+    gauss = _config(6, law=gaussian(), trials=many, master_seed=58)
     assert experiments._det_route_scale(gauss) is None
     rank_tail_counts(gauss, [1, 2])
     for kind, keys in (("rank-tail", "k = 1,2\n"), ("singular-tail", "k = 2\nepsilon = 0.5,1\n")):
@@ -155,7 +151,7 @@ def test_one_block_or_one_thread_starts_no_pool(monkeypatch, tmp_path):
                                       f"profile = rademacher\n{keys}")
         assert cli.run_campaign(campaign, out_dir=str(tmp_path / kind)) == 0
     with pytest.raises(AssertionError, match="thread pool"):
-        run_trials(_config(6, 2, trials=TRIAL_BLOCK + 1, master_seed=55), n_threads=2)
+        run_trials(_config(6, trials=TRIAL_BLOCK + 1, master_seed=55), 2, n_threads=2)
 
 
 def _blas_threads():
@@ -177,9 +173,9 @@ def blas_at_two():
 @pytest.mark.parametrize("n", [100, 128])
 def test_large_n_tables_match_unpinned_svd_at_any_thread_count(n):
     # At these sizes OpenBLAS splits one SVD over threads; n = 6 never reaches that path.
-    cfg = _config(n, 2, law=gaussian(), trials=TRIAL_BLOCK + 1, master_seed=60 + n)
-    table = run_trials(cfg)
-    assert run_trials(cfg, n_threads=2).tobytes() == table.tobytes()
+    cfg = _config(n, law=gaussian(), trials=TRIAL_BLOCK + 1, master_seed=60 + n)
+    table = run_trials(cfg, 2)
+    assert run_trials(cfg, 2, n_threads=2).tobytes() == table.tobytes()
     svals = np.concatenate([np.linalg.svd(experiments._block_matrices(cfg, b), compute_uv=False)
                             for b in (0, 1)])
     np.testing.assert_array_equal(table["s_largest"], svals[:, 0])
@@ -197,7 +193,7 @@ def test_blas_runs_on_one_thread_inside_blocks_and_is_restored(blas_at_two):
     def fail(start, mats):
         raise RuntimeError("reduction failed")
 
-    cfg = _config(4, 1, trials=3 * TRIAL_BLOCK, master_seed=61)
+    cfg = _config(4, trials=3 * TRIAL_BLOCK, master_seed=61)
     for n_threads in (1, 2):
         experiments._map_blocks(cfg, record, n_threads)
         assert _blas_threads() == 2
@@ -260,29 +256,40 @@ def test_norm_check_svd_runs_on_one_blas_thread(blas_at_two, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     for n in (3, 5):
-        norm_concentration_mc(_config(n, 0, trials=40))
+        norm_concentration_mc(_config(n, trials=40))
     assert seen == [1, 1]
     assert _blas_threads() == 2
 
 
 def test_run_trials_table_contents():
-    cfg = _config(5, 2, trials=64, master_seed=9)
-    table = run_trials(cfg)
+    cfg = _config(5, trials=64, master_seed=9)
+    table = run_trials(cfg, 2)
     assert table["s_bottom"].shape == (64, 2)
     assert np.all(table["s_largest"] >= table["s_bottom"][:, 1])
     assert np.all(table["s_bottom"][:, 1] >= table["s_bottom"][:, 0])
     assert np.all(table["s_bottom"][:, 0] >= 0.0)
     assert np.all(table["rank_at_tol"] <= 5)
-    # k = 0 answers rank tails only, and still keeps the smallest singular value
-    assert run_trials(_config(5, 0, trials=64, master_seed=9))["s_bottom"].shape == (64, 1)
+    # k = 1 answers rank tails, and still keeps the smallest singular value
+    assert run_trials(cfg, 1)["s_bottom"].shape == (64, 1)
+
+
+def test_one_config_draws_the_same_matrices_for_every_question():
+    cfg = _mixed_config(6, trials=TRIAL_BLOCK + 30, master_seed=23)
+    tables = {k: run_trials(cfg, k) for k in (1, 2, 3)}
+    for k, table in tables.items():
+        np.testing.assert_array_equal(table["s_largest"], tables[1]["s_largest"])
+        np.testing.assert_array_equal(table["rank_at_tol"], tables[1]["rank_at_tol"])
+        np.testing.assert_array_equal(table["s_bottom"], tables[3]["s_bottom"][:, :k])  # nested
+    assert rank_tail_counts(cfg, [1, 2, 3]).tolist() == [
+        _table_counts(table, 6, [k])[0] for k, table in tables.items()]
 
 
 @pytest.mark.parametrize("make_config", [_config, _mixed_config],
                          ids=["homogeneous", "mixed"])
 def test_trial_matrix_replays_table_rows(make_config):
     trials = 2 * TRIAL_BLOCK + 40  # first, middle and partial last block
-    cfg = make_config(4, 2, trials=trials, master_seed=21)
-    table = run_trials(cfg)
+    cfg = make_config(4, trials=trials, master_seed=21)
+    table = run_trials(cfg, 2)
     for i in (0, 3, TRIAL_BLOCK + 100, trials - 1):
         s = np.linalg.svd(trial_matrix(cfg, i), compute_uv=False)
         assert s[::-1][:2].tolist() == table["s_bottom"][i].tolist()
@@ -293,8 +300,8 @@ def test_trial_matrix_replays_table_rows(make_config):
 
 @pytest.mark.parametrize("law", [rademacher(), gaussian()], ids=["rademacher", "gaussian"])
 def test_trial_table_rank_is_numerical_rank(law):
-    cfg = _config(3, 1, law=law, trials=TRIAL_BLOCK + 40, master_seed=8)
-    table = run_trials(cfg)
+    cfg = _config(3, law=law, trials=TRIAL_BLOCK + 40, master_seed=8)
+    table = run_trials(cfg, 1)
     ranks = [numerical_rank(singular_spectrum(trial_matrix(cfg, i))) for i in range(cfg.trials)]
     assert table["rank_at_tol"].tolist() == ranks
     if law == rademacher():
@@ -359,7 +366,7 @@ def test_rank_histogram_n6_tails_match_gf251_elimination(sign_rank_histograms):
 
 @pytest.mark.parametrize("n, seed", [(5, 51), (6, 61)])
 def test_rank_tail_mc_matches_exact_histogram(sign_rank_histograms, n, seed):
-    table = run_trials(_config(n, 1, trials=200_000, master_seed=seed), n_threads=2)
+    table = run_trials(_config(n, trials=200_000, master_seed=seed), 1, n_threads=2)
     hist = sign_rank_histograms[n]
     for k in (1, 2, 3):
         est, se = rank_tail_from_table(table, n, k)
@@ -371,30 +378,30 @@ def test_rank_tail_mc_matches_exact_histogram(sign_rank_histograms, n, seed):
 
 
 def test_rank_tail_mc_degenerate_k_zero():
-    est, se = rank_tail_mc(_config(3, 0, trials=50, master_seed=2))
+    est, se = rank_tail_mc(_config(3, trials=50, master_seed=2), 0)
     assert est == 1.0
     assert se == 0.0
 
 
 def test_rank_tail_mc_gaussian_full_rank():
-    est, _ = rank_tail_mc(_config(8, 1, law=gaussian(), trials=500, master_seed=4))
+    est, _ = rank_tail_mc(_config(8, law=gaussian(), trials=500, master_seed=4), 1)
     assert est == 0.0
 
 
 def test_rank_tail_mc_matches_exact_oracle():
-    cfg = _config(2, 1, trials=20_000, master_seed=8)
-    est, se = rank_tail_mc(cfg)
+    cfg = _config(2, trials=20_000, master_seed=8)
+    est, se = rank_tail_mc(cfg, 1)
     assert abs(est - 0.5) <= 4 * se
 
 
 # --- rank by determinant ---
 
 
-def _alternating_config(n, k, p=0.1, k_cap=3.0, **kwargs):
+def _alternating_config(n, p=0.1, k_cap=3.0, **kwargs):
     """Rows alternate rademacher and sparse-bernoulli(p), starting with rademacher."""
     rules = [("*", "*", rademacher())] + [(i, "*", sparse_bernoulli(p)) for i in range(1, n, 2)]
     prof = profile_from_rules(rules, n, n, k_cap=k_cap)
-    return ExperimentConfig(prof, n, k, **kwargs)
+    return ExperimentConfig(prof, **kwargs)
 
 
 def _table_counts(table, n, ks):
@@ -441,31 +448,31 @@ def test_det_route_splits_every_n6_sign_class_like_the_svd():
 def test_rank_tail_counts_equal_the_trial_table(n, law):
     kwargs = dict(trials=5 * TRIAL_BLOCK + 77, master_seed=1000 + n)
     if law == "alternating":
-        cfg = _alternating_config(n, 1, **kwargs)
+        cfg = _alternating_config(n, **kwargs)
     elif law == "column":  # one scale per column
         rules = [("*", "*", rademacher()), ("*", 1, sparse_bernoulli(0.3))]
-        cfg = ExperimentConfig(profile_from_rules(rules, n, n, k_cap=3.0), n, 1, **kwargs)
+        cfg = ExperimentConfig(profile_from_rules(rules, n, n, k_cap=3.0), **kwargs)
     else:
-        cfg = _config(n, 1, law=parse_law_spec(law), **kwargs)
+        cfg = _config(n, law=parse_law_spec(law), **kwargs)
     assert experiments._det_route_scale(cfg) is not None
-    table = run_trials(cfg)
+    table = run_trials(cfg, 1)
     for ks in ([1], [1, 2], [1, 2, 3]):
         want = _table_counts(table, n, ks)
         for threads in (1, 2):
             assert rank_tail_counts(cfg, ks, n_threads=threads).tolist() == want, (ks, threads)
-    assert rank_tail_mc(cfg) == rank_tail_from_table(table, n, 1)
+    assert rank_tail_mc(cfg, 1) == rank_tail_from_table(table, n, 1)
 
 
 @pytest.mark.parametrize("make_config", [
-    lambda: _config(6, 2, law=gaussian(), trials=700, master_seed=32),
-    lambda: _config(6, 2, law=discrete([-1.0, 1.0], [0.5, 0.5]), trials=700, master_seed=33),
-    lambda: _config(DET_RANK_MAX_N + 1, 2, trials=700, master_seed=34),
-    lambda: _alternating_config(DET_RANK_MAX_N, 2, p=1e-6, k_cap=300.0, trials=700,
+    lambda: _config(6, law=gaussian(), trials=700, master_seed=32),
+    lambda: _config(6, law=discrete([-1.0, 1.0], [0.5, 0.5]), trials=700, master_seed=33),
+    lambda: _config(DET_RANK_MAX_N + 1, trials=700, master_seed=34),
+    lambda: _alternating_config(DET_RANK_MAX_N, p=1e-6, k_cap=300.0, trials=700,
                                 master_seed=35),
 ], ids=["gaussian", "discrete", "above-range", "ill-scaled-rows"])
 def test_rank_tail_counts_fall_back_to_the_trial_table(make_config, monkeypatch):
     cfg = make_config()
-    table = run_trials(cfg)
+    table = run_trials(cfg, 2)
 
     def no_det_route(*args):
         raise AssertionError("the determinant route ran")
@@ -473,12 +480,12 @@ def test_rank_tail_counts_fall_back_to_the_trial_table(make_config, monkeypatch)
     monkeypatch.setattr(experiments, "_integer_ranks", no_det_route)
     for ks in ([1], [0, 1, 2]):
         assert rank_tail_counts(cfg, ks, n_threads=2).tolist() == _table_counts(table, cfg.n, ks)
-    assert rank_tail_mc(cfg) == rank_tail_from_table(table, cfg.n, 2)
+    assert rank_tail_mc(cfg, 2) == rank_tail_from_table(table, cfg.n, 2)
 
 
 def test_rank_tail_counts_skip_the_svd_when_every_k_is_at_most_one(monkeypatch):
-    cfg = _alternating_config(8, 1, trials=3 * TRIAL_BLOCK, master_seed=41)
-    table = run_trials(cfg)
+    cfg = _alternating_config(8, trials=3 * TRIAL_BLOCK, master_seed=41)
+    table = run_trials(cfg, 1)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("the SVD ran")
@@ -492,20 +499,18 @@ def test_rank_tail_counts_skip_the_svd_when_every_k_is_at_most_one(monkeypatch):
 
 
 def test_tail_monotonicity_on_shared_table():
-    cfg = _config(4, 2, epsilon_grid=(0.0, 0.3, 0.8, 1.5), trials=3000, master_seed=6)
-    table = run_trials(cfg)
+    table = run_trials(_config(4, trials=3000, master_seed=6), 2)
     rank_estimates = [rank_tail_from_table(table, 4, k)[0] for k in range(0, 5)]
     assert all(a >= b for a, b in zip(rank_estimates, rank_estimates[1:]))
     tail_estimates = [singular_tail_from_table(table, 4, 2, e)[0]
-                      for e in cfg.epsilon_grid]
+                      for e in (0.0, 0.3, 0.8, 1.5)]
     assert all(a <= b for a, b in zip(tail_estimates, tail_estimates[1:]))
 
 
 @pytest.mark.parametrize("law", [rademacher(), gaussian()], ids=["rademacher", "gaussian"])
 def test_singular_tail_is_non_increasing_in_k_on_one_table(law):
     n = 5
-    cfg = _config(n, n, law=law, trials=3000, master_seed=18)
-    table = run_trials(cfg)
+    table = run_trials(_config(n, law=law, trials=3000, master_seed=18), n)
     for eps in (0.0, 0.1, 0.3, 0.8, 1.5, 3.0):
         tails = [singular_tail_from_table(table, n, k, eps)[0] for k in range(1, n + 1)]
         assert all(a >= b for a, b in zip(tails, tails[1:])), (eps, tails)
@@ -514,7 +519,7 @@ def test_singular_tail_is_non_increasing_in_k_on_one_table(law):
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_singular_tail_from_table_refuses_k_outside_the_table(k):
-    table = run_trials(_config(4, 2, trials=10, master_seed=19))
+    table = run_trials(_config(4, trials=10, master_seed=19), 2)
     with pytest.raises(ValueError, match=rf"k must lie in \[1, 2\], .* got {k}$"):
         singular_tail_from_table(table, 4, k, 0.5)
 
@@ -524,10 +529,10 @@ def test_rank_at_threshold_is_the_singular_tail_at_tau_sqrt_n(law):
     # rank at a threshold tau above the cutoff, from replayed trials, is the
     # singular-value tail at epsilon = tau sqrt(n) on the trial table
     n, trials = 6, 300
-    cfg = _config(n, 3, law=law, trials=trials, master_seed=17)
+    cfg = _config(n, law=law, trials=trials, master_seed=17)
     svals = np.array([np.linalg.svd(trial_matrix(cfg, i), compute_uv=False)
                       for i in range(trials)])
-    table = run_trials(cfg)  # one table answers k = 1, 2, 3
+    table = run_trials(cfg, 3)  # one table answers k = 1, 2, 3
     inside = 0
     for k in (1, 2, 3):
         for tau in (1e-3, 0.05, 0.2, 0.5, 1.0):
@@ -540,17 +545,15 @@ def test_rank_at_threshold_is_the_singular_tail_at_tau_sqrt_n(law):
 
 
 def test_tail_at_zero_equals_rank_event():
-    cfg = _config(4, 4, epsilon_grid=(0.0,), trials=2000, master_seed=7)
-    table = run_trials(cfg)
+    table = run_trials(_config(4, trials=2000, master_seed=7), 4)
     for k in range(1, 5):
         assert singular_tail_from_table(table, 4, k, 0.0) == rank_tail_from_table(table, 4, k)
     assert rank_tail_from_table(table, 4, 2)[0] > 0.0  # the k = 2 event occurs
 
 
 def test_singular_tail_mc_rows():
-    cfg = _config(4, 2, epsilon_grid=(0.1, 0.5, 1.0), gamma=0.25, trials=1500,
-                  master_seed=10)
-    rows = singular_tail_mc(cfg, comparison_c=1.5)
+    cfg = _config(4, trials=1500, master_seed=10)
+    rows = singular_tail_mc(cfg, 2, (0.1, 0.5, 1.0), comparison_c=1.5, gamma=0.25)
     assert list(rows["epsilon"]) == [0.1, 0.5, 1.0]
     assert all(0.0 <= p <= 1.0 for p in rows["estimate"])
     assert all(rows["estimate"][i] <= rows["estimate"][i + 1] for i in range(2))
@@ -566,10 +569,9 @@ def test_singular_tail_meets_the_edelman_limit():
     uses; it is recorded, not calibrated.
     """
     trials = 4000
-    cfg = _config(30, 1, law=gaussian(), epsilon_grid=(0.25, 0.5, 1.0), trials=trials,
-                  master_seed=20261019)
+    cfg = _config(30, law=gaussian(), trials=trials, master_seed=20261019)
     with pytest.warns(UserWarning, match="below log"):
-        rows = singular_tail_mc(cfg)
+        rows = singular_tail_mc(cfg, 1, (0.25, 0.5, 1.0))
     for row in rows:
         eps = float(row["epsilon"])
         p0 = 1.0 - math.exp(-eps * eps / 2.0 - eps)
@@ -577,10 +579,16 @@ def test_singular_tail_meets_the_edelman_limit():
 
 
 def test_singular_tail_mc_validation():
-    with pytest.raises(ValueError):
-        singular_tail_mc(_config(3, 0, epsilon_grid=(0.5,), trials=10))
-    with pytest.raises(ValueError):
-        singular_tail_mc(_config(3, 3, trials=10))
+    cfg = _config(3, trials=10)
+    for k, grid, gamma, message in [
+            (0, (0.5,), 0.25, r"k must lie in \[1, 3\], got 0"),
+            (3, (), 0.25, "epsilon grid is empty"),
+            (3, (0.5, 0.1), 0.25, "epsilon grid must be sorted ascending"),
+            (3, (-0.5,), 0.25, "epsilon grid entries must be non-negative"),
+            (3, (0.5,), 0.5, r"gamma must lie in \(0, 1/2\), got 0.5"),
+            (3, (0.5,), 0.0, r"gamma must lie in \(0, 1/2\), got 0.0")]:
+        with pytest.raises(ValueError, match=message):
+            singular_tail_mc(cfg, k, grid, gamma=gamma)
 
 
 # --- mean of uniforms ---
@@ -633,18 +641,18 @@ def test_tensorization_validation():
 
 def test_norm_check_refuses_zero_trials():
     with pytest.raises(ValueError, match="trials must be at least 1"):
-        norm_concentration_mc(_config(3, 0, trials=0))
+        norm_concentration_mc(_config(3, trials=0))
 
 
 def test_norm_concentration_rejects_unbounded():
     for rules in ([("*", "*", gaussian())], [("*", "*", rademacher()), (2, 1, gaussian())]):
-        config = ExperimentConfig(profile_from_rules(rules, 4, 4, 2.0), 4, 0, trials=10)
+        config = ExperimentConfig(profile_from_rules(rules, 4, 4, 2.0), trials=10)
         with pytest.raises(ValueError, match="needs bounded entry laws"):
             norm_concentration_mc(config)
 
 
 def test_norm_concentration_single_entry():
-    op, op_se, hs, hs_se = norm_concentration_mc(_config(1, 0, trials=200, master_seed=3))
+    op, op_se, hs, hs_se = norm_concentration_mc(_config(1, trials=200, master_seed=3))
     assert (op, op_se) == (0.0, 0.0)  # |entry| = 1 < 3
     assert (hs, hs_se) == (0.0, 0.0)  # 1 < 2
 
@@ -662,7 +670,7 @@ def _norm_concentration_loop(config, c_op=3.0, c_hs=1.0):
                          ids=lambda law: law.kind)
 def test_norm_concentration_matches_per_trial_loop(law):
     for n in (3, 5):
-        config = _config(n, 0, law, trials=TRIAL_BLOCK + 40, master_seed=8)
+        config = _config(n, law, trials=TRIAL_BLOCK + 40, master_seed=8)
         got = norm_concentration_mc(config, c_op=1.5, c_hs=0.5)
         assert got == _norm_concentration_loop(config, 1.5, 0.5)
 
@@ -675,12 +683,12 @@ def test_norm_check_draws_one_block_at_a_time(monkeypatch):
         return sample(profile, stream, count)
 
     monkeypatch.setattr(experiments, "sample_matrix", recording_sample)
-    norm_concentration_mc(_config(4, 0, trials=3 * TRIAL_BLOCK + 1))
+    norm_concentration_mc(_config(4, trials=3 * TRIAL_BLOCK + 1))
     assert counts == [TRIAL_BLOCK] * 3 + [1]
 
 
 def test_norm_concentration_decays():
-    ops, hss = zip(*(norm_concentration_mc(_config(n, 0, trials=300, master_seed=n))[::2]
+    ops, hss = zip(*(norm_concentration_mc(_config(n, trials=300, master_seed=n))[::2]
                      for n in (10, 20, 40)))
     assert all(a >= b for a, b in zip(ops, ops[1:]))
     assert all(hs < 0.05 for hs in hss)

@@ -23,7 +23,8 @@ P for ``k_cap, profile, law``); any other key or rule fails with its line:
   vectors_file: n, vectors_file, delta, rho, tau, r, c_op, mc_trials, P
 - ri-select: rows, cols, l, mode, P; with matrix_file: matrix_file, l, mode
 - tensorize: n, t
-- norms: n, trials, c_op, c_hs, profile (one law)
+- norms: n, trials, c_op, c_hs, profile (one law); the defaults c_op = 3,
+  c_hs = 1 read 0 for bounded named laws, c_op = 1.5, c_hs = 0.5 do not
 
 Each run writes into the output directory:
 
@@ -302,21 +303,21 @@ def _write_tsv(path: str, xs, ys) -> None:
             fh.write(f"{_fmt(float(x))}\t{_fmt(float(y))}\n")
 
 
-def _run_sample(campaign, paths, stream, rows, n_threads):
+def _run_sample(campaign, paths, rows, n_threads):
     if campaign.get("rows") is not None:
         n_rows = _c_num(campaign, "rows", int, low=1)
         n_cols = _c_num(campaign, "cols", int, n_rows, low=1)
     else:
         n_rows = n_cols = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n_rows, n_cols)
-    mat = sample_matrix(profile, stream)
+    mat = sample_matrix(profile, _master_stream(campaign.seed))
     write_matrix(paths[0], mat)
     spec = singular_spectrum(mat)
     rows.append(_row(campaign.experiment_id, n_rows, None, None, spec.smallest,
                      None, 1, campaign.seed))
 
 
-def _run_rank_tail(campaign, paths, stream, rows, n_threads):
+def _run_rank_tail(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     ks = _c_grid(campaign, "k", int)
     bad = [k for k in ks if not 0 <= k <= n]
@@ -353,7 +354,7 @@ def _run_rank_tail(campaign, paths, stream, rows, n_threads):
     _write_tsv(paths[0], ks, estimates)
 
 
-def _run_singular_tail(campaign, paths, stream, rows, n_threads):
+def _run_singular_tail(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     k = _c_num(campaign, "k", int)
     eps = _c_grid(campaign, "epsilon", float)
@@ -375,7 +376,7 @@ def _run_singular_tail(campaign, paths, stream, rows, n_threads):
     _write_tsv(paths[1], tail["epsilon"], tail["bound"])
 
 
-def _run_rlcd(campaign, paths, stream, rows, n_threads):
+def _run_rlcd(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
     L, alpha, cap, step = (_c_num(campaign, k) for k in ("L", "alpha", "radius_cap", "resolution"))
@@ -420,7 +421,7 @@ def _run_rlcd(campaign, paths, stream, rows, n_threads):
             raise CampaignError(f"line {campaign.values['columns'][1]}: column index {bad[0]} "
                                 f"out of range for n = {n}")
     trace: list = []
-    est = rlcd_estimate(basis, profile, col_idx, params, stream,
+    est = rlcd_estimate(basis, profile, col_idx, params, _master_stream(campaign.seed),
                         n_directions=_c_num(campaign, "directions", int, 32, low=0), trace=trace)
     rows.append(_row(campaign.experiment_id, n, None, None,
                      est.upper if math.isfinite(est.upper) else math.inf,
@@ -434,7 +435,7 @@ def _run_rlcd(campaign, paths, stream, rows, n_threads):
         _write_tsv(paths[2], radii, [t[2] for t in trace])
 
 
-def _run_round(campaign, paths, stream, rows, n_threads):
+def _run_round(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
     delta, rho, tau, r, c_op = (_c_num(campaign, key, default=value) for key, value in (
@@ -444,6 +445,7 @@ def _run_round(campaign, paths, stream, rows, n_threads):
              ("c_op", c_op > 0.0, "(0, inf)"))
     params = RoundingParams(delta=delta, rho=rho, tau=tau, K=_c_num(campaign, "k_cap", default=2.0),
                             r=r, c_op=c_op)
+    stream = _master_stream(campaign.seed)
     vectors_file = campaign.get("vectors_file")
     if vectors_file is not None:
         v = read_matrix(vectors_file)
@@ -471,7 +473,7 @@ def _run_round(campaign, paths, stream, rows, n_threads):
                      campaign.seed))
 
 
-def _run_ri_select(campaign, paths, stream, rows, n_threads):
+def _run_ri_select(campaign, paths, rows, n_threads):
     matrix_file = campaign.get("matrix_file")
     if matrix_file is not None:
         mat = read_matrix(matrix_file)
@@ -487,7 +489,7 @@ def _run_ri_select(campaign, paths, stream, rows, n_threads):
         n_cols = _c_num(campaign, "cols", int, low=1)
         _c_spans(campaign, ("cols", n_cols >= n_rows, f"[{n_rows}, inf)"))
         profile = _build_profile(campaign, n_rows, n_cols)
-        mat = sample_matrix(profile, stream)
+        mat = sample_matrix(profile, _master_stream(campaign.seed))
     l = _c_num(campaign, "l", int)
     _c_spans(campaign, ("l", 1 <= l <= mat.shape[0] - 1, f"[1, {mat.shape[0] - 1}]"))
     mode = campaign.get("mode", "exhaustive")
@@ -505,7 +507,7 @@ def _run_ri_select(campaign, paths, stream, rows, n_threads):
                      None, 1, campaign.seed))
 
 
-def _run_tensorize(campaign, paths, stream, rows, n_threads):
+def _run_tensorize(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     ts = _c_grid(campaign, "t", float)
     _c_spans(campaign, ("n", n <= 20, "[1, 20]"), ("t", all(0.0 < t <= 1.0 for t in ts), "(0, 1]"))
@@ -516,7 +518,7 @@ def _run_tensorize(campaign, paths, stream, rows, n_threads):
     _write_tsv(paths[1], ts, bounds)
 
 
-def _run_norms(campaign, paths, stream, rows, n_threads):
+def _run_norms(campaign, paths, rows, n_threads):
     law_spec = campaign.get("profile")
     if law_spec is None:
         raise CampaignError("norms campaigns take a single homogeneous law via profile =")
@@ -534,7 +536,8 @@ def _run_norms(campaign, paths, stream, rows, n_threads):
     _c_spans(campaign, ("c_op", c_op > 0.0, "(0, inf)"), ("c_hs", c_hs > 0.0, "(0, inf)"))
     ops, hss = [], []
     # each size draws from its own master seed, so no two sizes share a stream
-    for n, seed in zip(n_grid, stream.integers(2 ** 64, size=len(n_grid), dtype=np.uint64)):
+    seeds = _master_stream(campaign.seed).integers(2 ** 64, size=len(n_grid), dtype=np.uint64)
+    for n, seed in zip(n_grid, seeds):
         profile = EntryProfile.homogeneous(n, n, law, max(law.declared_psi2, 1.0))
         try:
             op, op_se, hs, hs_se = norm_concentration_mc(
@@ -586,7 +589,7 @@ def run_campaign(campaign: CampaignFile, out_dir: str = ".", n_threads: int = 1)
     rows: list = []
     status = 0
     try:
-        _RUNNERS[campaign.kind](campaign, paths, _master_stream(campaign.seed), rows, n_threads)
+        _RUNNERS[campaign.kind](campaign, paths, rows, n_threads)
     except (CampaignError, ValueError, RuntimeError, OSError) as exc:
         print(f"rmtlab: {exc}", file=sys.stderr)
         status = 2

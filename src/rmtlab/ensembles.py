@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,10 @@ RADEMACHER_PSI2 = 1.0 / math.sqrt(math.log(2.0))
 #: psi2 of the standard gaussian: E exp((X/t)^2) = (1 - 2/t^2)^(-1/2) = 2.
 GAUSSIAN_PSI2 = math.sqrt(8.0 / 3.0)
 
+#: psi2 of the uniform law on [-sqrt3, sqrt3], 1e-9 above the root t of
+#: E exp((X/t)^2) = sum_k (3/t^2)^k / (k! (2k+1)) = 2.
+UNIFORM_PSI2 = 1.3383691564309084
+
 
 def atom_moments(atoms, weights):
     """Exact (mean, variance) of a finitely supported law given as atoms/weights."""
@@ -76,31 +80,14 @@ def _finite_psi2(atoms, weights):
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        last = mid in (lo, hi)  # the bracket has collapsed: no later step moves it
         if avg(mid) > 2.0:
             lo = mid
         else:
             hi = mid
+        if last:
+            break
     return hi
-
-
-@lru_cache(maxsize=1)
-def _uniform_psi2():
-    """psi2 of the variance-1 uniform law, via Gauss-Legendre quadrature + bisection."""
-    xs, ws = np.polynomial.legendre.leggauss(200)
-    x = 0.5 * _SQRT3 * (xs + 1.0)  # nodes on [0, sqrt(3)], even integrand
-    w = 0.5 * _SQRT3 * ws / _SQRT3  # density 1/(2*sqrt3), doubled for symmetry
-
-    def avg(t):
-        return float(np.sum(w * np.exp((x / t) ** 2)))
-
-    lo, hi = 1.0, 3.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if avg(mid) > 2.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi + 1e-9
 
 
 @dataclass(frozen=True)
@@ -209,7 +196,7 @@ def gaussian() -> DistributionLaw:
 
 def uniform_scaled() -> DistributionLaw:
     """Uniform on [-sqrt(3), sqrt(3)] (unit variance)."""
-    return DistributionLaw("uniform", _uniform_psi2())
+    return DistributionLaw("uniform", UNIFORM_PSI2)
 
 
 def sparse_bernoulli(p: float) -> DistributionLaw:

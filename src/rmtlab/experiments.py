@@ -392,7 +392,10 @@ def norm_concentration_mc(config: ExperimentConfig, c_op: float = 3.0,
     Returns (op, op stderr, hs, hs stderr).  One reduction over the trial blocks: each
     block's batched SVD gives its operator norms and its entries its Hilbert-Schmidt
     norms.  The operator-norm statement assumes bounded entries, so a profile with an
-    unbounded law is refused.
+    unbounded law is refused.  The defaults read 0 for the bounded named laws: since
+    |A|_HS <= n max|a|, c_hs = 1 cannot be crossed when max|a| < 2 (rademacher, uniform,
+    sparse-bernoulli(p) for p > 1/4), and c_op = 3 read 0 in 300 trials at n = 4, 8 and
+    40.  c_op = 1.5, c_hs = 0.5 give exceedances inside (0, 1) for the uniform law.
     """
     if any(math.isinf(law.support_bound()) for law in config.profile.laws):
         raise ValueError("the operator-norm check needs bounded entry laws")

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from rmtlab.ensembles import (
     GAUSSIAN_PSI2,
     RADEMACHER_PSI2,
+    UNIFORM_PSI2,
     DistributionLaw,
     EntryProfile,
     EstimationError,
+    _finite_psi2,
     discrete,
     gaussian,
     paley_zygmund_floor,
@@ -108,6 +110,65 @@ def test_uniform_psi2_against_quadrature():
 
     t = uniform_scaled().declared_psi2
     assert mgf(t) == pytest.approx(2.0, abs=1e-6)
+
+
+def _bisect_to_collapse(above_two, lo, hi):
+    """Halve [lo, hi] until its midpoint is one of its ends; return hi."""
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if above_two(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_uniform_psi2_sits_just_above_the_moment_series_root():
+    # X uniform on [-sqrt3, sqrt3]: E exp((X/t)^2) = sum_k (3/t^2)^k / (k! (2k+1))
+    def mgf(t):
+        return sum((3.0 / t**2) ** k / (math.factorial(k) * (2 * k + 1)) for k in range(60))
+
+    root = _bisect_to_collapse(lambda t: mgf(t) > 2.0, 1.0, 3.0)
+    assert root < UNIFORM_PSI2 <= root + 1e-9
+    assert uniform_scaled().declared_psi2 == UNIFORM_PSI2 == 1.3383691564309084
+
+
+def _finite_psi2_200_steps(atoms, weights):
+    """The 200-halving bisection that _finite_psi2 ran before it stopped at collapse."""
+    a2 = np.asarray(atoms, dtype=float) ** 2
+    w = np.asarray(weights, dtype=float)
+    peak = float(np.max(a2))
+
+    def avg(t):
+        return float(np.sum(w * np.exp(a2 / (t * t))))
+
+    lo = math.sqrt(peak / (math.log(2.0 / max(np.min(w[a2 == peak]), 1e-300)) + 1.0))
+    hi = math.sqrt(peak / math.log(2.0)) + 1e-9
+    if avg(hi) > 2.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if avg(mid) > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("spec", [
+    "discrete(-1:0.25,0:0.5,2:0.25)",  # tests/identity/sample-rows.campaign
+    "discrete(-1:0.4,0:0.2,1:0.4)",  # tests/identity/singular-tail-mixed-n128.campaign
+    "discrete(-1:0.4999999,1:0.5,100:0.0000001)",  # one large atom of tiny weight
+    # a weightless largest atom: the bracket's low end fails, so the last step moves hi
+    "discrete(-1:0.5,1:0.5,40:0)",
+    "discrete(0:0.9,1:0.1)",
+    "discrete(-3:0.1,-1:0.2,0:0.3,2:0.4)",
+    "discrete(-2:0.5,1:0.25,3:0.25)",
+])
+def test_finite_psi2_matches_the_200_step_bisection(spec):
+    law = parse_law_spec(spec)
+    assert law.declared_psi2 == _finite_psi2_200_steps(law.atoms, law.weights)
+    assert _finite_psi2(law.atoms, law.weights) == law.declared_psi2
 
 
 def test_sparse_bernoulli_psi2_closed_form():

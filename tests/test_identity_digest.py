@@ -1,4 +1,4 @@
-"""Smoke test: the bit-identity digest runs a committed campaign at both thread counts."""
+"""Smoke test: the bit-identity digest runs committed campaigns at both thread counts."""
 
 import os
 import re
@@ -10,13 +10,18 @@ IDENTITY = os.path.join(ROOT, "tests", "identity")
 
 
 def test_digest_prints_one_hash_per_output_file():
-    # 600 trials through run_trials: three blocks, so --threads 2 starts a pool
-    proc = subprocess.run([sys.executable, os.path.join(IDENTITY, "digest.py"),
-                           os.path.join(IDENTITY, "rank-tail-mixed.campaign")],
+    # 600 trials each through run_trials: three blocks, so --threads 2 starts a pool;
+    # the second campaign draws every entry from the uniform law
+    names = ["rank-tail-mixed", "singular-tail-uniform"]
+    proc = subprocess.run([sys.executable, os.path.join(IDENTITY, "digest.py")]
+                          + [os.path.join(IDENTITY, f"{name}.campaign") for name in names],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
         "rank-tail-mixed manifest.txt", "rank-tail-mixed rank-tail.ranktail.tsv",
-        "rank-tail-mixed results.csv"]
+        "rank-tail-mixed results.csv",
+        "singular-tail-uniform manifest.txt", "singular-tail-uniform results.csv",
+        "singular-tail-uniform singular-tail.bound.tsv",
+        "singular-tail-uniform singular-tail.tail.tsv"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in lines)

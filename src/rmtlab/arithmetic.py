@@ -105,15 +105,14 @@ def expected_sq_dist_to_lattice(y: np.ndarray, laws) -> float:
     return float(_sq_dists(y.reshape(1, -1), column.lattice_plan.groups)[0, 0])
 
 
-def _min_sq_dist(ys: np.ndarray, profile: EntryProfile, column_indices) -> np.ndarray:
-    """Minimum over the given profile columns of E dist^2, for each row of ys.
+def _column_groups(profile: EntryProfile, column_indices) -> list:
+    """The law groups of the given profile columns, for :func:`_sq_dists`.
 
-    A column repeated in ``column_indices`` or in the profile is evaluated
-    once; distinct columns are visited in order of first appearance.
+    A column repeated in ``column_indices`` or in the profile appears once;
+    distinct columns keep their order of first appearance.
     """
     plan = profile.lattice_plan
-    distinct = dict.fromkeys(int(plan.column_of[j]) for j in column_indices)
-    return np.min(_sq_dists(ys, [plan.groups[c] for c in distinct]), axis=0)
+    return [plan.groups[c] for c in dict.fromkeys(plan.column_of[list(column_indices)].tolist())]
 
 
 def matrix_lattice_distance(x: np.ndarray, profile: EntryProfile, mc_trials: int = 1000,
@@ -135,8 +134,8 @@ def matrix_lattice_distance(x: np.ndarray, profile: EntryProfile, mc_trials: int
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"expected a length-{n} vector or an {n} x B array, got shape {x.shape}")
     ys = np.ascontiguousarray(x.reshape(n, -1).T)
-    best = np.sqrt(np.maximum(
-        _min_sq_dist(ys, profile, range(profile.n_cols)), 0.0))
+    sq = _sq_dists(ys, _column_groups(profile, range(profile.n_cols)))
+    best = np.sqrt(np.maximum(np.min(sq, axis=0), 0.0))
     return float(best[0]) if x.ndim == 1 else best
 
 
@@ -229,8 +228,13 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
         raise ValueError("basis has no rows")
     if n != profile.n_rows:
         raise ValueError(f"basis columns {n} do not match profile rows {profile.n_rows}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("basis has non-finite entries")
+    if not isinstance(n_directions, (int, np.integer)) or n_directions < 0:
+        raise ValueError(f"n_directions must be an integer >= 0, got {n_directions!r}")
     cols = list(column_indices)
-    if not cols or any(not 0 <= j < profile.n_cols for j in cols):
+    if not cols or any(not isinstance(j, (int, np.integer)) or not 0 <= j < profile.n_cols
+                       for j in cols):
         raise ValueError("column_indices must be a non-empty subset of profile columns")
     svals = np.linalg.svd(v, compute_uv=False)
     if svals[-1] <= 1e-12 * svals[0]:
@@ -248,6 +252,8 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
         n_random = n_directions
 
     n_steps = int(math.floor((params.radius_cap - floor) / params.resolution))
+    columns = _column_groups(profile, cols)
+    l_sq = params.L ** 2
     cleared = floor
     for step in range(n_steps + 1):
         radius = floor + step * params.resolution
@@ -257,11 +263,13 @@ def rlcd_estimate(basis: np.ndarray, profile: EntryProfile, column_indices,
             extra /= np.linalg.norm(extra, axis=1, keepdims=True)
             dirs = np.concatenate([fixed_dirs, extra])
         thetas = radius * dirs
-        # One product per direction: a single matrix product rounds differently.
-        ys = np.stack([v.T @ theta for theta in thetas])
-        rhs = [params.L ** 2 * log_plus(params.alpha * float(np.linalg.norm(y)) / params.L)
-               for y in ys]
-        lhs = _min_sq_dist(ys, profile, cols).tolist()
+        # A stacked matmul issues one product per direction, as v.T @ theta does, and the
+        # norms are the per-row dot products a 1-d np.linalg.norm takes; the single
+        # product thetas @ v rounds differently.
+        ys = np.matmul(v.T, thetas[:, :, None])[:, :, 0]
+        norms = np.sqrt(ys[:, None, :] @ ys[:, :, None])[:, 0, 0].tolist()
+        rhs = [l_sq * log_plus(params.alpha * norm / params.L) for norm in norms]
+        lhs = np.min(_sq_dists(ys, columns), axis=0).tolist()
         best = (math.inf, -math.inf)  # (lhs - rhs margin, rhs) of the best direction so far
         hit = None
         for theta, left, right in zip(thetas, lhs, rhs):

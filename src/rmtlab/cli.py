@@ -376,6 +376,14 @@ def _run_singular_tail(campaign, paths, rows, n_threads):
     _write_tsv(paths[1], tail["epsilon"], tail["bound"])
 
 
+def _read_finite(path, label, line):
+    """read_matrix, refusing inf and nan entries with the line of the key that names the file."""
+    mat = read_matrix(path)
+    if not np.all(np.isfinite(mat)):
+        raise CampaignError(f"line {line}: {label} {path!r} has non-finite entries")
+    return mat
+
+
 def _run_rlcd(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
@@ -398,7 +406,7 @@ def _run_rlcd(campaign, paths, rows, n_threads):
                                 f"in [1, {n}], got {parts[1]!r}")
         basis = np.eye(n)[:m]
     elif parts[0] == "file" and len(parts) == 2:
-        basis = read_matrix(parts[1])
+        basis = _read_finite(parts[1], "basis file", basis_line)
         if basis.shape[1] != n:
             raise CampaignError(f"line {basis_line}: basis file {parts[1]!r} has "
                                 f"{basis.shape[1]} columns, expected n = {n}")
@@ -448,7 +456,7 @@ def _run_round(campaign, paths, rows, n_threads):
     stream = _master_stream(campaign.seed)
     vectors_file = campaign.get("vectors_file")
     if vectors_file is not None:
-        v = read_matrix(vectors_file)
+        v = _read_finite(vectors_file, "vectors_file", campaign.values['vectors_file'][1])
         if v.shape[0] != n:
             raise CampaignError(f"line {campaign.values['vectors_file'][1]}: vectors_file "
                                 f"{vectors_file!r} has {v.shape[0]} rows, expected n = {n}")
@@ -476,7 +484,7 @@ def _run_round(campaign, paths, rows, n_threads):
 def _run_ri_select(campaign, paths, rows, n_threads):
     matrix_file = campaign.get("matrix_file")
     if matrix_file is not None:
-        mat = read_matrix(matrix_file)
+        mat = _read_finite(matrix_file, "matrix_file", campaign.values['matrix_file'][1])
         if mat.shape[0] == 0:
             raise CampaignError(f"line {campaign.values['matrix_file'][1]}: matrix_file "
                                 f"{matrix_file!r} has no rows")

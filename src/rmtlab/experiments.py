@@ -499,6 +499,15 @@ def kernel_tuple_event_check(v_tuple: np.ndarray, b_matrix: np.ndarray,
     return all(flags.values()), flags
 
 
+def _checked_columns(column_subset, n_cols: int) -> list:
+    """The column indices as ints, refusing any that is not an integer in [0, n_cols)."""
+    cols = list(column_subset)
+    for j in cols:
+        if not isinstance(j, (int, np.integer)) or not 0 <= j < n_cols:
+            raise ValueError(f"column index {j} is not an integer in [0, {n_cols})")
+    return [int(j) for j in cols]
+
+
 def kernel_complement_basis(a_sample: np.ndarray, column_subset, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of a dim-dimensional piece of span(selected columns)^perp.
 
@@ -507,7 +516,7 @@ def kernel_complement_basis(a_sample: np.ndarray, column_subset, dim: int) -> np
     orthogonal complement is smaller than ``dim``.
     """
     a = np.asarray(a_sample, dtype=float)
-    cols = a[:, list(column_subset)]
+    cols = a[:, _checked_columns(column_subset, a.shape[1])]
     u, s, _ = np.linalg.svd(cols, full_matrices=True)
     rank = int(np.sum(s > rank_cutoff(max(cols.shape), s[:1])))
     avail = a.shape[0] - rank
@@ -527,14 +536,15 @@ def kernel_rlcd_probe(a_sample: np.ndarray, a_profile: EntryProfile, column_subs
     """
     a = np.asarray(a_sample, dtype=float)
     n = a.shape[0]
-    subset = sorted(set(int(j) for j in column_subset))
+    chosen = set(_checked_columns(column_subset, a.shape[1]))
+    subset = sorted(chosen)
     k = n - len(subset)
     if k < 1:
         raise ValueError("column subset leaves no complement directions")
     if dim is None:
         dim = (k + 1) // 2
     basis = kernel_complement_basis(a, subset, dim)
-    remaining = [j for j in range(a_profile.n_cols) if j not in set(subset)]
+    remaining = [j for j in range(a_profile.n_cols) if j not in chosen]
     return rlcd_estimate(basis.T, a_profile, remaining, params, stream,
                          n_directions=n_directions)
 

@@ -2,6 +2,7 @@ import bisect
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,10 +283,27 @@ def test_rlcd_rejects_degenerate_basis(rng):
     bad = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
         rlcd_estimate(bad, prof, [0], params, rng)
-    with pytest.raises(ValueError):
-        rlcd_estimate(np.eye(2), prof, [5], params, rng)
+    for cols in ([5], [-1], [0.5], []):
+        with pytest.raises(ValueError, match="column_indices must be a non-empty subset"):
+            rlcd_estimate(np.eye(2), prof, cols, params, rng)
     with pytest.raises(ValueError, match="basis has no rows"):
         rlcd_estimate(np.zeros((0, 2)), prof, [0], params, rng)
+
+
+@pytest.mark.parametrize("basis, n_directions, message", [
+    (np.array([[1.0, np.nan]]), 8, "basis has non-finite entries"),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), 8, "basis has non-finite entries"),
+    (np.eye(2), -1, "n_directions must be an integer >= 0, got -1"),
+    (np.eye(2), 2.5, "n_directions must be an integer >= 0, got 2.5"),
+    (np.eye(1, 2), -1, "n_directions must be an integer >= 0, got -1"),
+], ids=["nan", "inf", "negative", "fractional", "negative-one-row"])
+def test_rlcd_refuses_non_finite_basis_and_bad_direction_counts(basis, n_directions, message):
+    params = RLCDParams(L=1.0, alpha=0.5, radius_cap=3.0, resolution=1e-1)
+    prof = EntryProfile.homogeneous(2, 2, rademacher(), 2.0)
+    stream = np.random.default_rng(3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rlcd_estimate(basis, prof, [0], params, stream, n_directions=n_directions)
+    assert stream.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
 def test_rlcd_multirow_basis_runs(rng):

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,26 @@ def test_matrix_file_shape_errors_name_their_line(tmp_path, capsys, text, shape,
     cfg = parse_campaign(text.format(path=path))
     assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
     assert message.format(path=path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (RLCD_CFG + "basis = file {path}\n", "line 9: basis file '{path}' has non-finite entries"),
+    ("kind = round\nseed = 1\nn = 3\nvectors_file = {path}\ndelta = 0.1\nrho = 0.3\n"
+     "profile = rademacher\n", "line 4: vectors_file '{path}' has non-finite entries"),
+    ("kind = ri-select\nseed = 1\nmatrix_file = {path}\nl = 1\n",
+     "line 3: matrix_file '{path}' has non-finite entries"),
+], ids=["rlcd-basis", "round-vectors", "ri-select-matrix"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_matrix_file_entries_name_their_line(tmp_path, capsys, text, message, bad):
+    path = str(tmp_path / "matrix.csv")
+    mat = np.eye(3)
+    mat[1, 2] = bad
+    write_matrix(path, mat)
+    cfg = parse_campaign(text.format(path=path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"rmtlab: {message.format(path=path)}\n"
 
 
 def test_profile_rule_errors_name_their_line(tmp_path, capsys):

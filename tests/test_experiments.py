@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 import warnings
@@ -838,6 +839,19 @@ def test_kernel_complement_basis_degenerate(rng):
     a = rng.standard_normal((6, 6))
     with pytest.raises(ValueError):
         kernel_complement_basis(a, list(range(5)), 3)
+
+
+@pytest.mark.parametrize("subset, bad", [([-1, 0], -1), ([0, 1, 7], 7), ([6], 6), ([0, 1.5], 1.5)])
+def test_kernel_column_indices_outside_the_sample_are_refused(rng, subset, bad):
+    n = 6
+    prof = EntryProfile.homogeneous(n, n, rademacher(), 2.0)
+    a = sample_matrix(prof, rng)
+    params = RLCDParams(L=1.0, alpha=0.5, radius_cap=2.1, resolution=5e-2)
+    message = f"column index {bad} is not an integer in [0, {n})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernel_complement_basis(a, subset, 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernel_rlcd_probe(a, prof, subset, params, rng, n_directions=2)
 
 
 def test_kernel_rlcd_probe_respects_floor(rng):

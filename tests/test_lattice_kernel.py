@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from rmtlab.arithmetic import (RLCDEstimate, RLCDParams, expected_sq_dist_to_lattice, log_plus,
-                               matrix_lattice_distance, rlcd_estimate)
+from rmtlab.arithmetic import (RLCDEstimate, RLCDParams, _sq_dists, expected_sq_dist_to_lattice,
+                               log_plus, matrix_lattice_distance, rlcd_estimate)
 from rmtlab.cli import parse_campaign, run_campaign
 from rmtlab.ensembles import (DistributionLaw, EntryProfile, discrete, gaussian,
                               profile_from_rules, rademacher, sparse_bernoulli, uniform_scaled)
@@ -248,6 +248,99 @@ def test_rlcd_matches_per_direction_loop(name):
     assert (est.lower, est.upper) == (want.lower, want.upper)
     assert est.witness is not None and np.array_equal(est.witness, want.witness)
     assert_matches(trace, ref_trace, name)
+
+
+# --- 0.20.0 reference: the denominator search with one product and one norm per direction ---
+
+
+def ref_rlcd_0_20_0(basis, profile, column_indices, params, stream, n_directions=32, trace=None):
+    v = np.asarray(basis, dtype=float)
+    m = v.shape[0]
+    cols = list(column_indices)
+    svals = np.linalg.svd(v, compute_uv=False)
+    floor = params.L / (params.alpha * float(svals[0]))
+    if params.radius_cap < floor:
+        return RLCDEstimate(lower=params.radius_cap, upper=math.inf, witness=None,
+                            note="search exhausted below analytic floor")
+    if m == 1:
+        fixed_dirs = np.array([[1.0], [-1.0]])
+        n_random = 0
+    else:
+        fixed_dirs = np.concatenate([np.eye(m), -np.eye(m)])
+        n_random = n_directions
+    n_steps = int(math.floor((params.radius_cap - floor) / params.resolution))
+    cleared = floor
+    for step in range(n_steps + 1):
+        radius = floor + step * params.resolution
+        dirs = fixed_dirs
+        if n_random:
+            extra = stream.standard_normal((n_random, m))
+            extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+            dirs = np.concatenate([fixed_dirs, extra])
+        thetas = radius * dirs
+        ys = np.stack([v.T @ theta for theta in thetas])
+        rhs = [params.L ** 2 * log_plus(params.alpha * float(np.linalg.norm(y)) / params.L)
+               for y in ys]
+        plan = profile.lattice_plan
+        distinct = dict.fromkeys(int(plan.column_of[j]) for j in cols)
+        lhs = np.min(_sq_dists(ys, [plan.groups[c] for c in distinct]), axis=0).tolist()
+        best = (math.inf, -math.inf)
+        hit = None
+        for theta, left, right in zip(thetas, lhs, rhs):
+            if left - right < best[0]:
+                best = (left - right, right)
+            if left < right:
+                hit = theta
+                break
+        if trace is not None:
+            trace.append((radius, best[0] + best[1], best[1], hit is not None))
+        if hit is not None:
+            return RLCDEstimate(lower=cleared, upper=radius, witness=hit)
+        cleared = radius
+    return RLCDEstimate(lower=cleared, upper=math.inf, witness=None)
+
+
+RLCD_PROFILES = {
+    "rademacher": lambda n: EntryProfile.homogeneous(n, n, rademacher(), 2.0),
+    "mixed": _gaussian_column,
+    "uniform": lambda n: EntryProfile.homogeneous(n, n, uniform_scaled(), 2.0),
+    "discrete": lambda n: EntryProfile.homogeneous(
+        n, n, discrete([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3]), 3.0),
+}
+
+
+def _rlcd_basis(m, n, ones, rng):
+    """m orthonormal rows; with ``ones`` the last one is the all-ones direction."""
+    raw = rng.standard_normal((n, m))
+    if ones:
+        raw[:, -1] = 1.0
+    q = np.linalg.qr(raw)[0]
+    return q.T[::-1] if ones else q.T
+
+
+@pytest.mark.parametrize("profile_name", sorted(RLCD_PROFILES))
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n_directions", [0, 8])
+@pytest.mark.parametrize("ending", ["witness", "none", "floor"])
+def test_rlcd_matches_the_0_20_0_per_direction_loop(profile_name, m, n_directions, ending):
+    n = 8
+    profile = RLCD_PROFILES[profile_name](n)
+    rng = np.random.default_rng(100 * m + n_directions)
+    basis = _rlcd_basis(m, n, ending == "witness", rng)
+    cap = {"witness": 8.0, "none": 2.25, "floor": 1.5}[ending]
+    params = RLCDParams(L=1.0, alpha=0.5, radius_cap=cap, resolution=0.125, mc_trials=100)
+    cols = [5, 0, 3, 5, 0, 7]  # repeats, and column 3 is the mixed profile's gaussian one
+    got_stream, want_stream = np.random.default_rng(4), np.random.default_rng(4)
+    got_trace, want_trace = [], []
+    got = rlcd_estimate(basis, profile, cols, params, got_stream, n_directions, got_trace)
+    want = ref_rlcd_0_20_0(basis, profile, cols, params, want_stream, n_directions, want_trace)
+    assert (got.lower, got.upper, got.note) == (want.lower, want.upper, want.note)
+    assert (got.witness is None) == (want.witness is None) == (ending != "witness")
+    if want.witness is not None:
+        assert got.witness.tobytes() == want.witness.tobytes()
+    assert got_trace == want_trace
+    assert (len(want_trace) == 0) == (ending == "floor")
+    assert got_stream.bit_generator.state == want_stream.bit_generator.state
 
 
 @pytest.mark.parametrize("name", sorted(ALL))

@@ -42,7 +42,7 @@ for k in range(0, 4):
     p, se = rank_tail_from_table(table, 6, k)
     print(f"  P(rank <= {6 - k}) = {p:.4f} +/- {se:.4f}")
 
-# decay with n: fit the slope of -log p against n k^2 (recorded, not a
+# decay with n: fit the slope of -log p against k n (recorded, not a
 # claim about the true constant)
 points = []
 for n in (6, 8, 10):

@@ -9,9 +9,9 @@ invertibility column selection, and reproducible Monte Carlo campaigns with
 exact oracles at toy scale.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
-from .errors import CampaignError, EstimationError, ResourceLimitError
+from .errors import CampaignError, EstimationError, ParameterError, ResourceLimitError
 from .ensembles import (DistributionLaw, EntryProfile, atom_moments, discrete, gaussian,
                         paley_zygmund_floor, parse_law_spec, profile_from_rules,
                         psi2_estimate, rademacher, sample_matrix, sparse_bernoulli,

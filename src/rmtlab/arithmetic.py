@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import EntryProfile
-from .errors import ResourceLimitError
+from .errors import ParameterError, ResourceLimitError
 
 __all__ = [
     "RLCDParams",
@@ -148,8 +148,9 @@ def log_plus(v: float) -> float:
 class RLCDParams:
     """Search parameters for the log-least-common-denominator estimate.
 
-    ``mc_trials`` must be at least 100 and is otherwise accepted and not
-    read: every lattice expectation is exact.
+    Domains (a value outside raises :class:`~rmtlab.errors.ParameterError`): L in
+    (0, inf), alpha in (0, 1), radius_cap in (0, inf), resolution in (0, radius_cap),
+    mc_trials in [100, inf).  ``mc_trials`` is not read: every lattice expectation is exact.
     """
 
     L: float
@@ -160,15 +161,15 @@ class RLCDParams:
 
     def __post_init__(self):
         if not self.L > 0.0:
-            raise ValueError(f"L must be positive, got {self.L}")
+            raise ParameterError("L", "(0, inf)", self.L)
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ParameterError("alpha", "(0, 1)", self.alpha)
         if not 0.0 < self.radius_cap < math.inf:
-            raise ValueError(f"radius_cap must be positive and finite, got {self.radius_cap}")
+            raise ParameterError("radius_cap", "(0, inf)", self.radius_cap)
         if not 0.0 < self.resolution < self.radius_cap:
-            raise ValueError(f"resolution must lie in (0, radius_cap), got {self.resolution}")
+            raise ParameterError("resolution", f"(0, {self.radius_cap!r})", self.resolution)
         if not self.mc_trials >= 100:
-            raise ValueError("mc_trials must be at least 100")
+            raise ParameterError("mc_trials", "[100, inf)", self.mc_trials)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ from . import __version__
 from .arithmetic import RLCDParams, rlcd_estimate
 from .ensembles import (EntryProfile, check_psi2_cap, parse_law_spec, parse_rule_key,
                         profile_from_rules, sample_matrix)
-from .errors import CampaignError, ResourceLimitError
+from .errors import CampaignError, ParameterError, ResourceLimitError
 from .experiments import (ExperimentConfig, _binomial, rank_histogram_rademacher,
                           rank_tail_counts, singular_tail_mc, norm_concentration_mc,
                           tensorization_check)
@@ -107,6 +107,8 @@ _KIND_ARTIFACTS = {
     "tensorize": "exact.tsv bound.tsv",
     "norms": "opnorm.tsv hsnorm.tsv",
 }
+# Library argument names that differ from the campaign key that supplies them.
+_ARGUMENT_KEYS = {"epsilon_grid": "epsilon", "K": "k_cap"}
 _KINDS = tuple(dict.fromkeys(kind for kind, _ in _KIND_KEYS))
 _BRANCHES = {kind: branch for kind, branch in _KIND_KEYS if branch}
 _ROW_KEYS = {row: frozenset(keys.split()) | {"kind", "id", "seed"}
@@ -205,12 +207,11 @@ def normalize_campaign(campaign: CampaignFile, seed: int) -> str:
 
 
 def _c_num(campaign, key, cast=float, default=None, low=None):
-    raw = campaign.get(key)
-    if raw is None:
+    if key not in campaign.values:
         if default is None:
             raise CampaignError(f"{campaign.kind} campaign is missing the {key} key")
         return default
-    line = campaign.values[key][1]
+    raw, line = campaign.values[key]
     try:
         value = cast(raw)
     except ValueError:
@@ -221,21 +222,10 @@ def _c_num(campaign, key, cast=float, default=None, low=None):
     return value
 
 
-def _c_spans(campaign, *checks) -> None:
-    """Fail on the line of the first (key, holds, span) check that does not hold."""
-    for key, ok, span in checks:
-        if not ok:
-            raise CampaignError(f"line {campaign.values[key][1]}: key {key!r} must lie in "
-                                f"{span}, got {campaign.get(key)!r}")
-
-
-def _c_grid(campaign, key, cast=float, default=None):
-    raw = campaign.get(key)
-    if raw is None:
-        if default is None:
-            raise CampaignError(f"{campaign.kind} campaign is missing the {key} key")
-        return default
-    line = campaign.values[key][1]
+def _c_grid(campaign, key, cast=float):
+    if key not in campaign.values:
+        raise CampaignError(f"{campaign.kind} campaign is missing the {key} key")
+    raw, line = campaign.values[key]
     try:
         items = [cast(v.strip()) for v in raw.split(",") if v.strip()]
     except ValueError:
@@ -360,10 +350,6 @@ def _run_singular_tail(campaign, paths, rows, n_threads):
     eps = _c_grid(campaign, "epsilon", float)
     gamma = _c_num(campaign, "gamma", default=0.25)
     comparison_c = _c_num(campaign, "comparison_c", default=1.0)
-    _c_spans(campaign, ("k", 1 <= k <= n, f"[1, {n}]"),
-             ("epsilon", all(e >= 0.0 for e in eps), "[0, inf)"),
-             ("gamma", 0.0 < gamma < 0.5, "(0, 1/2)"),
-             ("comparison_c", comparison_c > 0.0, "(0, inf)"))
     trials = _c_num(campaign, "trials", int, low=1)
     profile = _build_profile(campaign, n, n)
     config = ExperimentConfig(profile, trials, campaign.seed)
@@ -387,13 +373,8 @@ def _read_finite(path, label, line):
 def _run_rlcd(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
-    L, alpha, cap, step = (_c_num(campaign, k) for k in ("L", "alpha", "radius_cap", "resolution"))
-    mc_trials = _c_num(campaign, "mc_trials", int, 1000)
-    _c_spans(campaign, ("L", L > 0.0, "(0, inf)"), ("alpha", 0.0 < alpha < 1.0, "(0, 1)"),
-             ("radius_cap", 0.0 < cap < math.inf, "(0, inf)"),
-             ("resolution", 0.0 < step < cap, f"(0, {cap!r})"),
-             ("mc_trials", mc_trials >= 100, "[100, inf)"))
-    params = RLCDParams(L=L, alpha=alpha, radius_cap=cap, resolution=step, mc_trials=mc_trials)
+    params = RLCDParams(*(_c_num(campaign, k) for k in ("L", "alpha", "radius_cap", "resolution")),
+                        mc_trials=_c_num(campaign, "mc_trials", int, 1000))
     basis_spec, basis_line = campaign.values.get("basis", ("axis 1", None))
     parts = basis_spec.split()
     if parts[0] == "axis" and len(parts) == 2:
@@ -446,13 +427,8 @@ def _run_rlcd(campaign, paths, rows, n_threads):
 def _run_round(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     profile = _build_profile(campaign, n, n)
-    delta, rho, tau, r, c_op = (_c_num(campaign, key, default=value) for key, value in (
-        ("delta", None), ("rho", None), ("tau", 0.5), ("r", 0.05), ("c_op", 3.0)))
-    _c_spans(campaign, ("delta", delta > 0.0, "(0, inf)"), ("rho", 0.0 < rho < 1.0, "(0, 1)"),
-             ("tau", 0.0 < tau < 1.0, "(0, 1)"), ("r", r > 0.0, "(0, inf)"),
-             ("c_op", c_op > 0.0, "(0, inf)"))
-    params = RoundingParams(delta=delta, rho=rho, tau=tau, K=_c_num(campaign, "k_cap", default=2.0),
-                            r=r, c_op=c_op)
+    params = RoundingParams(*(_c_num(campaign, key, default=value) for key, value in (
+        ("delta", None), ("rho", None), ("tau", 0.5), ("k_cap", 2.0), ("r", 0.05), ("c_op", 3.0))))
     stream = _master_stream(campaign.seed)
     vectors_file = campaign.get("vectors_file")
     if vectors_file is not None:
@@ -466,7 +442,11 @@ def _run_round(campaign, paths, rows, n_threads):
     else:
         v = stream.standard_normal((n, _c_num(campaign, "l", int, 1, low=1)))
         v /= np.linalg.norm(v, axis=0)
-        v *= _c_num(campaign, "vector_scale", default=1.0)
+        scale = _c_num(campaign, "vector_scale", default=1.0)
+        if scale == 0.0 or not math.isfinite(scale):
+            raise CampaignError(f"line {campaign.values['vector_scale'][1]}: key 'vector_scale' "
+                                f"must be finite and nonzero, got {campaign.get('vector_scale')!r}")
+        v *= scale
     u = np.column_stack([randomized_round(v[:, j], params.delta, stream)
                          for j in range(v.shape[1])])
     b = sample_matrix(profile, stream)
@@ -495,11 +475,12 @@ def _run_ri_select(campaign, paths, rows, n_threads):
     else:
         n_rows = _c_num(campaign, "rows", int, low=1)
         n_cols = _c_num(campaign, "cols", int, low=1)
-        _c_spans(campaign, ("cols", n_cols >= n_rows, f"[{n_rows}, inf)"))
+        if n_cols < n_rows:
+            raise CampaignError(f"line {campaign.values['cols'][1]}: key 'cols' must lie in "
+                                f"[{n_rows}, inf), got {campaign.get('cols')!r}")
         profile = _build_profile(campaign, n_rows, n_cols)
         mat = sample_matrix(profile, _master_stream(campaign.seed))
     l = _c_num(campaign, "l", int)
-    _c_spans(campaign, ("l", 1 <= l <= mat.shape[0] - 1, f"[1, {mat.shape[0] - 1}]"))
     mode = campaign.get("mode", "exhaustive")
     if mode not in ("exhaustive", "greedy"):
         raise CampaignError(f"line {campaign.values['mode'][1]}: mode must be 'exhaustive' or "
@@ -518,7 +499,6 @@ def _run_ri_select(campaign, paths, rows, n_threads):
 def _run_tensorize(campaign, paths, rows, n_threads):
     n = _c_num(campaign, "n", int, low=1)
     ts = _c_grid(campaign, "t", float)
-    _c_spans(campaign, ("n", n <= 20, "[1, 20]"), ("t", all(0.0 < t <= 1.0 for t in ts), "(0, 1]"))
     probs, bounds = zip(*(tensorization_check(n, t) for t in ts))
     rows.extend(_row(campaign.experiment_id, n, None, t, prob, None, 1, campaign.seed)
                 for t, prob in zip(ts, probs))
@@ -541,7 +521,6 @@ def _run_norms(campaign, paths, rows, n_threads):
     trials = _c_num(campaign, "trials", int, low=1)
     c_op = _c_num(campaign, "c_op", default=3.0)
     c_hs = _c_num(campaign, "c_hs", default=1.0)
-    _c_spans(campaign, ("c_op", c_op > 0.0, "(0, inf)"), ("c_hs", c_hs > 0.0, "(0, inf)"))
     ops, hss = [], []
     # each size draws from its own master seed, so no two sizes share a stream
     seeds = _master_stream(campaign.seed).integers(2 ** 64, size=len(n_grid), dtype=np.uint64)
@@ -550,6 +529,8 @@ def _run_norms(campaign, paths, rows, n_threads):
         try:
             op, op_se, hs, hs_se = norm_concentration_mc(
                 ExperimentConfig(profile, trials, int(seed)), c_op, c_hs)
+        except ParameterError:
+            raise
         except ValueError as exc:  # the law is unbounded
             raise CampaignError(f"line {campaign.values['profile'][1]}: {exc}")
         rows.append(_row(f"{campaign.experiment_id}.op", n, None, None, op, op_se,
@@ -599,6 +580,11 @@ def run_campaign(campaign: CampaignFile, out_dir: str = ".", n_threads: int = 1)
     try:
         _RUNNERS[campaign.kind](campaign, paths, rows, n_threads)
     except (CampaignError, ValueError, RuntimeError, OSError) as exc:
+        # a ParameterError names the argument; report it on the line of the key that set it
+        key = _ARGUMENT_KEYS.get(exc.name, exc.name) if isinstance(exc, ParameterError) else None
+        if key in campaign.values:
+            exc = (f"line {campaign.values[key][1]}: key {key!r} must lie in {exc.span}, "
+                   f"got {campaign.get(key)!r}")
         print(f"rmtlab: {exc}", file=sys.stderr)
         status = 2
     with _create(os.path.join(out_dir, "results.csv")) as fh:

@@ -11,3 +11,11 @@ class ResourceLimitError(RuntimeError):
 
 class CampaignError(ValueError):
     """A campaign file failed to parse or validate; message names the line."""
+
+
+class ParameterError(ValueError):
+    """An argument outside its domain: ``name`` must lie in ``span``."""
+
+    def __init__(self, name: str, span: str, value):
+        super().__init__(f"{name} must lie in {span}, got {value!r}")
+        self.name, self.span = name, span

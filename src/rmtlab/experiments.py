@@ -37,7 +37,7 @@ import numpy as np
 
 from .arithmetic import RLCDEstimate, RLCDParams, matrix_lattice_distance, rlcd_estimate
 from .ensembles import EntryProfile, sample_matrix
-from .errors import ResourceLimitError
+from .errors import ParameterError, ResourceLimitError
 from .linalg import _one_blas_thread, rank_cutoff
 from .rounding import annulus_check
 from .sphere import almost_orthogonal_check, dist_to_sparse, sampled_span_incompressible
@@ -154,7 +154,7 @@ def run_trials(config: ExperimentConfig, k: int, n_threads: int = 1) -> np.ndarr
     """
     n = config.n
     if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+        raise ParameterError("k", f"[1, {n}]", k)
     out = np.empty(config.trials, [("s_largest", np.float64), ("s_bottom", np.float64, (k,)),
                                    ("rank_at_tol", np.int64)])
 
@@ -296,10 +296,11 @@ def singular_tail_mc(config: ExperimentConfig, k: int, epsilon_grid, comparison_
                      gamma: float = 0.25, n_threads: int = 1) -> np.ndarray:
     """Tail estimates of s_{n-k+1} over the epsilon grid, with the comparison curve attached.
 
-    ``epsilon_grid`` is a non-empty ascending sequence of non-negative numbers.
-    Returns a structured array over it with fields (epsilon, estimate, stderr,
-    bound) where bound is the reference shape (C epsilon / k)^(gamma k^2) at
-    caller-supplied C = ``comparison_c`` and gamma in (0, 1/2).  That shape is the
+    Domains: k in [1, n], ``epsilon_grid`` a non-empty ascending sequence in
+    [0, inf), ``comparison_c`` in (0, inf) and gamma in (0, 1/2); a value outside
+    raises :class:`~rmtlab.errors.ParameterError`.  Returns a structured array over
+    the grid with fields (epsilon, estimate, stderr, bound) where bound is the
+    reference shape (C epsilon / k)^(gamma k^2) at C = ``comparison_c``.  That shape is the
     bound of Jain, Sah and Sawhney, "Rank deficiency of random matrices"; with C
     and gamma chosen by the caller the curve is a shape to compare against, not a
     certificate.  All epsilons share one trial table, so estimates are
@@ -309,12 +310,15 @@ def singular_tail_mc(config: ExperimentConfig, k: int, epsilon_grid, comparison_
     eps = [float(e) for e in epsilon_grid]
     if not eps:
         raise ValueError("epsilon grid is empty")
-    if not all(e >= 0.0 for e in eps):
-        raise ValueError("epsilon grid entries must be non-negative")
+    for e in eps:
+        if not e >= 0.0:
+            raise ParameterError("epsilon_grid", "[0, inf)", e)
     if any(a > b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be sorted ascending")
     if not 0.0 < gamma < 0.5:
-        raise ValueError(f"gamma must lie in (0, 1/2), got {gamma}")
+        raise ParameterError("gamma", "(0, 1/2)", gamma)
+    if not comparison_c > 0.0:
+        raise ParameterError("comparison_c", "(0, inf)", comparison_c)
     table = run_trials(config, k, n_threads)
     if k < math.log(config.n):
         warnings.warn(f"k = {k} is below log(n) = {math.log(config.n):.2f}; "
@@ -377,9 +381,9 @@ def tensorization_check(n: int, t: float) -> tuple[float, float]:
     rationals from the float x and rounded once.  Returns (probability, bound).
     """
     if not 1 <= n <= 20:
-        raise ValueError(f"n must lie in [1, 20], got {n}")
+        raise ParameterError("n", "[1, 20]", n)
     if not 0.0 < t <= 1.0:
-        raise ValueError(f"t must lie in (0, 1], got {t}")
+        raise ParameterError("t", "(0, 1]", t)
     x = Fraction(n * t)
     volume = sum((-1) ** j * math.comb(n, j) * (x - j) ** n for j in range(math.floor(x) + 1))
     return float(volume / math.factorial(n)), (math.e * t) ** n
@@ -389,6 +393,7 @@ def norm_concentration_mc(config: ExperimentConfig, c_op: float = 3.0,
                           c_hs: float = 1.0) -> tuple[float, float, float, float]:
     """P(op norm >= c_op sqrt(n)) and P(HS norm >= 2 c_hs n) over config.trials matrices.
 
+    c_op and c_hs outside (0, inf) raise :class:`~rmtlab.errors.ParameterError`.
     Returns (op, op stderr, hs, hs stderr).  One reduction over the trial blocks: each
     block's batched SVD gives its operator norms and its entries its Hilbert-Schmidt
     norms.  The operator-norm statement assumes bounded entries, so a profile with an
@@ -397,6 +402,9 @@ def norm_concentration_mc(config: ExperimentConfig, c_op: float = 3.0,
     sparse-bernoulli(p) for p > 1/4), and c_op = 3 read 0 in 300 trials at n = 4, 8 and
     40.  c_op = 1.5, c_hs = 0.5 give exceedances inside (0, 1) for the uniform law.
     """
+    for name, c in (("c_op", c_op), ("c_hs", c_hs)):
+        if not c > 0.0:
+            raise ParameterError(name, "(0, inf)", c)
     if any(math.isinf(law.support_bound()) for law in config.profile.laws):
         raise ValueError("the operator-norm check needs bounded entry laws")
     n, hits = config.n, np.zeros(2, np.int64)
@@ -533,9 +541,13 @@ def kernel_rlcd_probe(a_sample: np.ndarray, a_profile: EntryProfile, column_subs
     ``column_subset`` selects n - k columns of the sample; the probe spans
     ceil(k/2) trailing complement directions (or ``dim`` when given) and runs
     the denominator search against the laws of the remaining columns.
+    ``a_profile`` must have the sample's shape.
     """
     a = np.asarray(a_sample, dtype=float)
     n = a.shape[0]
+    if a_profile.codes.shape != a.shape:
+        raise ValueError(f"a_profile shape {a_profile.codes.shape} does not match the sample "
+                         f"shape {a.shape}")
     chosen = set(_checked_columns(column_subset, a.shape[1]))
     subset = sorted(chosen)
     k = n - len(subset)

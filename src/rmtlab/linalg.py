@@ -226,7 +226,10 @@ def read_matrix(path) -> np.ndarray:
                 continue
             if len(row) != n_cols:
                 raise ValueError(f"{path}:{line_no}: expected {n_cols} values, got {len(row)}")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     if len(rows) != n_rows:
         raise ValueError(f"{path}: header declares {n_rows} rows, found {len(rows)}")
     return np.asarray(rows, dtype=float).reshape(n_rows, n_cols)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arithmetic import matrix_lattice_distance
 from .ensembles import EntryProfile
-from .errors import ResourceLimitError
+from .errors import ParameterError, ResourceLimitError
 from .sphere import almost_orthogonal_check, dist_to_sparse, sampled_span_incompressible
 
 __all__ = [
@@ -41,10 +41,11 @@ _GRID_SNAP = 1e-9
 class RoundingParams:
     """Thresholds for the rounding guarantees.
 
-    delta is the grid step, rho the compressibility radius, tau the span
-    incompressibility level (the span check runs at (tau^2, tau^4/2)), K the
-    psi2 cap of the ambient ensemble, r the lower norm scale of the annulus
-    condition, and c_op the empirical constant for the operator-norm drift.
+    delta in (0, inf) is the grid step, rho in (0, 1) the compressibility radius, tau
+    in (0, 1) the span incompressibility level (the span check runs at (tau^2, tau^4/2)),
+    K in [1, inf) the psi2 cap of the ambient ensemble, r in (0, inf) the lower norm scale
+    of the annulus condition, and c_op in (0, inf) the empirical constant for the
+    operator-norm drift.  A value outside raises :class:`~rmtlab.errors.ParameterError`.
     """
 
     delta: float
@@ -56,15 +57,15 @@ class RoundingParams:
 
     def __post_init__(self):
         if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise ParameterError("delta", "(0, inf)", self.delta)
         for name in ("rho", "tau"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ParameterError(name, "(0, 1)", getattr(self, name))
         if not self.K >= 1.0:
-            raise ValueError(f"K must be at least 1, got {self.K}")
-        if not (self.r > 0.0 and self.c_op > 0.0):
-            raise ValueError(f"r and c_op must be positive, got r = {self.r}, c_op = {self.c_op}")
+            raise ParameterError("K", "[1, inf)", self.K)
+        for name in ("r", "c_op"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError(name, "(0, inf)", getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ParameterError, ResourceLimitError
 from .linalg import SingularSpectrum, complement_projector, rank_cutoff, singular_spectrum
 
 __all__ = [
@@ -67,7 +67,7 @@ def ri_bound_rhs(spectrum: SingularSpectrum, l: int) -> float:
     if len(spectrum.values) != k:
         raise ValueError("spectrum length does not match row count")
     if not 1 <= l <= k - 1:
-        raise ValueError(f"l must lie in [1, {k - 1}], got {l}")
+        raise ParameterError("l", f"[1, {k - 1}]", l)
     if spectrum.smallest <= rank_cutoff(d, spectrum.largest):
         raise ValueError("spectrum is rank-deficient; the bound assumes full rank")
     vals = spectrum.values

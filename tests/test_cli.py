@@ -352,6 +352,21 @@ def test_non_finite_matrix_file_entries_name_their_line(tmp_path, capsys, text, 
     assert capsys.readouterr().err == f"rmtlab: {message.format(path=path)}\n"
 
 
+@pytest.mark.parametrize("text", [
+    RLCD_CFG + "basis = file {path}\n",
+    "kind = round\nseed = 1\nn = 3\nvectors_file = {path}\ndelta = 0.1\nrho = 0.3\n"
+    "profile = rademacher\n",
+    "kind = ri-select\nseed = 1\nmatrix_file = {path}\nl = 1\n",
+], ids=["rlcd-basis", "round-vectors", "ri-select-matrix"])
+def test_non_numeric_matrix_file_cells_name_the_file_line(tmp_path, capsys, text):
+    path = str(tmp_path / "matrix.csv")
+    Path(path).write_text("3,3\n1,0,0\n0,1,x\n0,0,1\n")
+    cfg = parse_campaign(text.format(path=path))
+    assert run_campaign(cfg, out_dir=str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (f"rmtlab: {path}:3: could not convert string to "
+                                       "float: 'x'\n")
+
+
 def test_profile_rule_errors_name_their_line(tmp_path, capsys):
     cfg = parse_campaign("kind = sample\nseed = 1\nn = 2\nprofile = rademacher\n"
                          "law.0.1 = gaussian\nlaw.1.* = cauchy\n")
@@ -570,6 +585,12 @@ NORMS_CFG = "kind = norms\nseed = 1\nprofile = rademacher\nn = 3\ntrials = 5\n"
     (ROUND_CFG + "tau = 0\n", "line 7: key 'tau' must lie in (0, 1), got '0'"),
     (ROUND_CFG + "r = 0\n", "line 7: key 'r' must lie in (0, inf), got '0'"),
     (ROUND_CFG + "c_op = -2\n", "line 7: key 'c_op' must lie in (0, inf), got '-2'"),
+    (ROUND_CFG + "vector_scale = 0\n",
+     "line 7: key 'vector_scale' must be finite and nonzero, got '0'"),
+    (ROUND_CFG + "vector_scale = nan\n",
+     "line 7: key 'vector_scale' must be finite and nonzero, got 'nan'"),
+    (ROUND_CFG + "vector_scale = inf\n",
+     "line 7: key 'vector_scale' must be finite and nonzero, got 'inf'"),
     (RI_CFG + "l = 7\n", "line 6: key 'l' must lie in [1, 2], got '7'"),
     (RI_CFG + "l = 0\n", "line 6: key 'l' must lie in [1, 2], got '0'"),
     (RI_CFG.replace("rows = 3\ncols = 5", "rows = 5\ncols = 3") + "l = 2\n",
@@ -589,7 +610,9 @@ NORMS_CFG = "kind = norms\nseed = 1\nprofile = rademacher\nn = 3\ntrials = 5\n"
      "line 3: the operator-norm check needs bounded entry laws"),
 ], ids=["rlcd-mc-trials", "rlcd-alpha", "rlcd-L", "rlcd-radius-cap", "rlcd-radius-cap-inf",
         "rlcd-resolution",
-        "round-delta", "round-rho", "round-tau", "round-r", "round-c-op", "ri-select-l-big",
+        "round-delta", "round-rho", "round-tau", "round-r", "round-c-op",
+        "round-vector-scale-zero", "round-vector-scale-nan", "round-vector-scale-inf",
+        "ri-select-l-big",
         "ri-select-l-zero", "ri-select-tall", "tensorize-n", "tensorize-t", "tensorize-t-nan",
         "norms-c-op", "norms-c-hs-nan", "rank-tail-exact-n-7", "ri-select-mode",
         "ri-select-budget", "norms-unbounded"])
@@ -598,6 +621,12 @@ def test_parameter_ranges_name_their_line(tmp_path, capsys, text, message):
     assert run_campaign(parse_campaign(text), out_dir=out) == 2
     assert message in capsys.readouterr().err
     assert read_results(out) == []
+
+
+def test_negative_vector_scale_runs(tmp_path):
+    out = str(tmp_path / "out")
+    assert run_campaign(parse_campaign(ROUND_CFG + "vector_scale = -2\n"), out_dir=out) == 0
+    assert len(read_results(out)) == 1
 
 
 def test_norms_campaign_rejects_law_rules():

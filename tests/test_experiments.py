@@ -14,7 +14,7 @@ from rmtlab.arithmetic import RLCDParams, esseen_bound_eval, levy_estimate
 from rmtlab.ensembles import (EntryProfile, check_psi2_cap, discrete, gaussian,
                               paley_zygmund_floor, parse_law_spec, profile_from_rules,
                               rademacher, sample_matrix, sparse_bernoulli, uniform_scaled)
-from rmtlab.errors import ResourceLimitError
+from rmtlab.errors import ParameterError, ResourceLimitError
 from rmtlab.experiments import (
     DET_RANK_MAX_N,
     ExperimentConfig,
@@ -39,6 +39,7 @@ from rmtlab.experiments import (
 )
 from rmtlab.linalg import numerical_rank, singular_spectrum
 from rmtlab.rounding import RoundingParams, randomized_round
+from rmtlab.selection import ri_bound_rhs
 
 
 def _config(n, law=None, **kwargs):
@@ -80,7 +81,7 @@ def test_run_trials_refuses_k_outside_one_to_n(k):
 
 @pytest.mark.parametrize("grid", [(math.nan,), (0.1, math.nan), (math.nan, 0.1)])
 def test_singular_tail_refuses_nan_in_epsilon_grid(grid):
-    with pytest.raises(ValueError, match="epsilon grid entries must be non-negative"):
+    with pytest.raises(ParameterError, match=r"epsilon_grid must lie in \[0, inf\), got nan"):
         singular_tail_mc(_config(3), 3, grid)
 
 
@@ -585,7 +586,7 @@ def test_singular_tail_mc_validation():
             (0, (0.5,), 0.25, r"k must lie in \[1, 3\], got 0"),
             (3, (), 0.25, "epsilon grid is empty"),
             (3, (0.5, 0.1), 0.25, "epsilon grid must be sorted ascending"),
-            (3, (-0.5,), 0.25, "epsilon grid entries must be non-negative"),
+            (3, (-0.5,), 0.25, r"epsilon_grid must lie in \[0, inf\), got -0.5"),
             (3, (0.5,), 0.5, r"gamma must lie in \(0, 1/2\), got 0.5"),
             (3, (0.5,), 0.0, r"gamma must lie in \(0, 1/2\), got 0.0")]:
         with pytest.raises(ValueError, match=message):
@@ -771,6 +772,46 @@ def test_parameter_checks_refuse_nan_and_inf(build):
         build()
 
 
+@pytest.mark.parametrize("call, name, span, value", [
+    (lambda: RLCDParams(**dict(_RLCD, L=0.0)), "L", "(0, inf)", 0.0),
+    (lambda: RLCDParams(**dict(_RLCD, alpha=1.0)), "alpha", "(0, 1)", 1.0),
+    (lambda: RLCDParams(**dict(_RLCD, radius_cap=math.inf)), "radius_cap", "(0, inf)", math.inf),
+    (lambda: RLCDParams(**dict(_RLCD, resolution=3.0)), "resolution", "(0, 3.0)", 3.0),
+    (lambda: RLCDParams(**dict(_RLCD, mc_trials=99)), "mc_trials", "[100, inf)", 99),
+    (lambda: RoundingParams(**dict(_ROUND, delta=0.0)), "delta", "(0, inf)", 0.0),
+    (lambda: RoundingParams(**dict(_ROUND, rho=1.0)), "rho", "(0, 1)", 1.0),
+    (lambda: RoundingParams(**dict(_ROUND, tau=math.nan)), "tau", "(0, 1)", math.nan),
+    (lambda: RoundingParams(**dict(_ROUND, K=0.5)), "K", "[1, inf)", 0.5),
+    (lambda: RoundingParams(**dict(_ROUND, r=-1.0)), "r", "(0, inf)", -1.0),
+    (lambda: RoundingParams(**dict(_ROUND, c_op=0.0)), "c_op", "(0, inf)", 0.0),
+    (lambda: singular_tail_mc(_config(3), 3, (-0.1,)), "epsilon_grid", "[0, inf)", -0.1),
+    (lambda: singular_tail_mc(_config(3), 3, (0.5,), gamma=0.5), "gamma", "(0, 1/2)", 0.5),
+    (lambda: run_trials(_config(3), 4), "k", "[1, 3]", 4),
+    (lambda: tensorization_check(21, 0.5), "n", "[1, 20]", 21),
+    (lambda: tensorization_check(3, 0.0), "t", "(0, 1]", 0.0),
+    (lambda: ri_bound_rhs(singular_spectrum(np.eye(3, 4)), 3), "l", "[1, 2]", 3),
+    (lambda: singular_tail_mc(_config(3), 3, (0.5,), comparison_c=-1.0), "comparison_c",
+     "(0, inf)", -1.0),
+    (lambda: singular_tail_mc(_config(3), 3, (0.5,), comparison_c=0.0), "comparison_c",
+     "(0, inf)", 0.0),
+    (lambda: singular_tail_mc(_config(3), 3, (0.5,), comparison_c=math.nan), "comparison_c",
+     "(0, inf)", math.nan),
+    (lambda: norm_concentration_mc(_config(3), c_op=-1.0), "c_op", "(0, inf)", -1.0),
+    (lambda: norm_concentration_mc(_config(3), c_hs=math.nan), "c_hs", "(0, inf)", math.nan),
+], ids=["rlcd-L", "rlcd-alpha", "rlcd-radius_cap", "rlcd-resolution", "rlcd-mc_trials",
+        "round-delta", "round-rho", "round-tau", "round-K", "round-r", "round-c_op",
+        "singular-tail-epsilon", "singular-tail-gamma", "run-trials-k", "tensorize-n",
+        "tensorize-t", "ri-bound-l", "singular-tail-comparison_c-negative",
+        "singular-tail-comparison_c-zero", "singular-tail-comparison_c-nan", "norms-c_op",
+        "norms-c_hs-nan"])
+def test_parameter_errors_carry_name_and_span(call, name, span, value):
+    # the CLI reads name and span to put the error on the line of the key behind it
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert (info.value.name, info.value.span) == (name, span)
+    assert str(info.value) == f"{name} must lie in {span}, got {value!r}"
+
+
 def _kernel_fixture(stream, n=30, l=3, scale=None, r=0.01):
     b = stream.standard_normal((n - l, n))
     _, _, vt = np.linalg.svd(b)
@@ -872,6 +913,18 @@ def test_kernel_rlcd_probe_validates_subset(rng):
     params = RLCDParams(L=1.0, alpha=0.5, radius_cap=2.1, resolution=5e-2)
     with pytest.raises(ValueError):
         kernel_rlcd_probe(a, prof, list(range(6)), params, rng)
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (7, 6)])
+def test_kernel_rlcd_probe_refuses_a_profile_of_another_shape(rng, shape):
+    # a wider profile used to score columns the sample does not have
+    a = sample_matrix(EntryProfile.homogeneous(6, 6, rademacher(), 2.0), rng)
+    rules = [("*", "*", rademacher()), ("*", shape[1] - 1, gaussian())]
+    prof = profile_from_rules(rules, *shape, 2.0)
+    params = RLCDParams(L=1.0, alpha=0.5, radius_cap=2.1, resolution=5e-2)
+    message = f"a_profile shape {shape} does not match the sample shape (6, 6)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernel_rlcd_probe(a, prof, [0, 1, 2, 3], params, rng, n_directions=2)
 
 
 # --- scaling fit ---

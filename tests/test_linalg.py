@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,13 @@ def test_read_matrix_rejects_malformed(tmp_path):
         read_matrix(p)
     p.write_text("2,2\n1.0,2.0\n")
     with pytest.raises(ValueError):
+        read_matrix(p)
+
+
+def test_read_matrix_names_the_line_of_a_non_numeric_cell(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("2,2\n1.0,2.0\n3.0,x\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:3: could not convert string to float: 'x'")):
         read_matrix(p)
 
 
